@@ -243,6 +243,17 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return _node(out_data, tuple(tensors), backward)
 
 
+def take_rows(a: Tensor, rows) -> Tensor:
+    """Gather ``a[rows]`` along axis 0; a repeated row gets its gradients summed."""
+    rows = np.asarray(rows, dtype=np.intp)
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, rows, g)
+        _accumulate(a, full)
+    return _node(a.data[rows], (a,), backward)
+
+
 def take_class(a: Tensor, labels) -> Tensor:
     """Select ``a[q, ..., labels[q]]`` along the last axis, per leading row."""
     labels = np.asarray(labels, dtype=np.intp)

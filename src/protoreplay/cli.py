@@ -31,7 +31,7 @@ from .data import (Dataset, incremental_class_plan, load_idx, permuted_protocol,
                    split_protocol, synthetic_blobs, task_train_images)
 from .encoder import init_encoder, param_count, reference_architecture, baseline_head
 from .memory import EpisodicMemory, memory_footprint, save_memory
-from .proto import SamplingConfig, VariationalPrototype, classification_loss, replay_loss
+from .proto import SamplingConfig, VariationalPrototype, mixed_classification_loss
 from .trainer import TrainerConfig, run_continual, _encode_images
 
 
@@ -276,7 +276,7 @@ def cmd_gradcheck(args) -> int:
     def check(name, f, points):
         err = grad_check(f, points, epsilon=1e-5)
         status = "ok" if err < tol else "FAIL"
-        print(f"{name:<24s} max relative error {err:.3e}  {status}")
+        print(f"{name:<26s} max relative error {err:.3e}  {status}")
         if err >= tol:
             failures.append(name)
 
@@ -297,44 +297,39 @@ def cmd_gradcheck(args) -> int:
     check("sqrt", lambda x: ad.tsum(ad.sqrt(x)),
           [Tensor(rng.uniform(0.5, 1.5, 4))])
 
-    # end-to-end losses on a toy 2-class batch
-    from .proto import VariationalEmbedding, compute_prototype
+    check("take_rows", lambda x: ad.tsum(ad.square(ad.take_rows(x, [2, 0, 2, 1, 2]))),
+          [u(3, 2)])
+
+    # end-to-end losses on one encoded toy batch: rows 0-3 hold classes
+    # 0, 0, 1, 1; rows 4-5 hold classes 2, 3, which only stored prototypes cover
     from .encoder import LayerSpec, encode_batch, init_encoder
 
     layers = [LayerSpec("flatten"), LayerSpec("fullyconnected", (6, 8)),
               LayerSpec("relu"), LayerSpec("fullyconnected", (8, 4))]
     params = init_encoder(layers, latent_dim=2, seed=1)
-    pixels = rng.uniform(0, 1, (4, 1, 1, 6))
-    labels = [0, 0, 1, 1]
+    pixels = rng.uniform(0, 1, (6, 1, 1, 6))
     scfg = SamplingConfig(Z=3, tau=1.0, D=2)
-
-    def classi(*weights):
-        mean, logvar = encode_batch(params, pixels)
-        queries = []
-        protos = []
-        for c in (0, 1):
-            idx = [i for i, l in enumerate(labels) if l == c]
-            embs = [VariationalEmbedding(
-                ad.reshape(ad.narrow(mean, 0, i, 1), (-1,)),
-                ad.reshape(ad.narrow(logvar, 0, i, 1), (-1,))) for i in idx]
-            protos.append(compute_prototype(embs[:1], 1, c))
-            queries.extend((e, c) for e in embs[1:])
-        return classification_loss(queries, protos, scfg,
-                                   np.random.default_rng(7))
-    check("classification_loss", classi, params.parameters())
-
     stored = [VariationalPrototype(1, c, Tensor(rng.uniform(-1, 1, 2)),
                                    Tensor(rng.uniform(-0.5, 0.5, 2)))
-              for c in (0, 1)]
+              for c in (0, 1, 2, 3)]
 
-    def replay(*weights):
-        mean, logvar = encode_batch(params, pixels)
-        embs = [(VariationalEmbedding(
-            ad.reshape(ad.narrow(mean, 0, i, 1), (-1,)),
-            ad.reshape(ad.narrow(logvar, 0, i, 1), (-1,))), labels[i])
-            for i in range(4)]
-        return replay_loss(embs, stored, scfg, np.random.default_rng(9))
-    check("replay_loss", replay, params.parameters())
+    # (name, (class, row) of each online prototype's support, (class, row)
+    # of each query, frozen prototypes, noise seed)
+    cases = [("classification_loss", [(0, 0), (1, 2)], [(0, 1), (1, 3)], [], 7),
+             ("replay_loss", [], [(0, 0), (0, 1), (1, 2), (1, 3)], stored[:2], 9),
+             ("mixed_classification_loss", [(0, 0), (1, 2)],
+              [(0, 1), (1, 3), (2, 4), (3, 5)], stored[2:], 11)]
+    for name, support, queries, frozen, seed in cases:
+        def loss(*weights):
+            mean, logvar = encode_batch(params, pixels)
+            online = [VariationalPrototype(1, c, ad.mean_over_axis(ad.take_rows(mean, [i]), 0),
+                                           ad.mean_over_axis(ad.take_rows(logvar, [i]), 0))
+                      for c, i in support]
+            rows = [i for _, i in queries]
+            return mixed_classification_loss(
+                ad.take_rows(mean, rows), ad.take_rows(logvar, rows), [c for c, _ in queries],
+                online, frozen, scfg, np.random.default_rng(seed))
+        check(name, loss, params.parameters())
 
     if failures:
         print(f"gradient check failed for: {', '.join(failures)}", file=sys.stderr)

@@ -223,7 +223,7 @@ def incremental_class_plan(num_classes: int, first_task_classes: int,
 def _apply_perm(img: Image, perm: Optional[np.ndarray], task_id: int) -> Image:
     if perm is None:
         return Image(img.pixels, img.label, task_id, img.index)
-    flat = img.pixels.reshape(img.pixels.shape[0], -1)[:, perm]
+    flat = img.pixels.reshape(-1)[perm]      # one permutation over C*H*W
     return Image(flat.reshape(img.pixels.shape), img.label, task_id, img.index)
 
 

@@ -167,24 +167,36 @@ def save_memory(memory: EpisodicMemory, path):
 
 
 def load_memory(path) -> EpisodicMemory:
+    """Read a snapshot written by ``save_memory``. A file that is not one,
+    ends early, or has bytes after its last record raises ValueError."""
     with open(path, "rb") as f:
+        def read(n: int) -> bytes:
+            data = f.read(max(n, 0))
+            if len(data) != n:      # a short read, or a corrupt negative size
+                raise ValueError(f"{path}: truncated or corrupt memory snapshot: "
+                                 f"{n} bytes wanted at offset {f.tell() - len(data)}")
+            return data
+
         if f.read(8) != _MAGIC:
             raise ValueError(f"{path}: not a memory snapshot (bad magic)")
-        latent, n_classes, n_protos, budget = struct.unpack("<4q", f.read(32))
+        latent, n_classes, n_protos, budget = struct.unpack("<4q", read(32))
         memory = EpisodicMemory(budget_elements=None if budget < 0 else budget)
         for _ in range(n_classes):
-            c, n_imgs = struct.unpack("<2q", f.read(16))
+            c, n_imgs = struct.unpack("<2q", read(16))
             imgs = []
             for _ in range(n_imgs):
-                task, index, label, C, H, W = struct.unpack("<6q", f.read(48))
-                pixels = np.frombuffer(f.read(C * H * W * 8), dtype="<f8") \
+                task, index, label, C, H, W = struct.unpack("<6q", read(48))
+                pixels = np.frombuffer(read(C * H * W * 8), dtype="<f8") \
                     .reshape(C, H, W).astype(np.float64)
                 imgs.append(Image(pixels, label, task, index))
             memory.exemplars[c] = imgs
         for _ in range(n_protos):
-            t, c = struct.unpack("<2q", f.read(16))
-            mean = np.frombuffer(f.read(latent * 8), dtype="<f8").astype(np.float64)
-            logvar = np.frombuffer(f.read(latent * 8), dtype="<f8").astype(np.float64)
+            t, c = struct.unpack("<2q", read(16))
+            mean = np.frombuffer(read(latent * 8), dtype="<f8").astype(np.float64)
+            logvar = np.frombuffer(read(latent * 8), dtype="<f8").astype(np.float64)
             memory.prototype_history[(t, c)] = VariationalPrototype(
                 t, c, Tensor(mean), Tensor(logvar))
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last memory "
+                             f"snapshot record")
     return memory

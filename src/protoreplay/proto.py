@@ -5,7 +5,8 @@ prototype is the elementwise average of its members' means and log-variances.
 Classification samples latents from queries and prototypes by
 reparameterization and takes a softmax over (optionally variance-weighted)
 L2 distances; replay regresses re-encoded stored exemplars onto prototypes
-frozen at earlier tasks.
+frozen at earlier tasks. Both run one batched loss,
+``mixed_classification_loss``; the list-of-pairs losses are views of it.
 
 Noise-draw order is part of the contract so results are reproducible from a
 seeded generator: each loss first draws prototype noise of shape (Z, C, D)
@@ -80,26 +81,31 @@ def compute_prototype(embeddings: Sequence[VariationalEmbedding],
     return VariationalPrototype(task_id, class_id, mean, logvar)
 
 
+def _sample(mean: Tensor, logvar: Tensor, noise: np.ndarray) -> Tensor:
+    """Reparameterized draw mean + exp(0.5 * logvar) * noise, broadcast to noise."""
+    return ad.add(mean, ad.mul(ad.exp(ad.scale(logvar, 0.5)), Tensor(noise)))
+
+
+def _distance(diff: Tensor, weight_logvar: Optional[np.ndarray] = None) -> Tensor:
+    """L2 norm over the last axis of exp(-0.5 * weight_logvar) * diff."""
+    if weight_logvar is not None:
+        diff = ad.mul(diff, Tensor(np.exp(-0.5 * weight_logvar)))
+    return ad.sqrt(ad.tsum(ad.square(diff), axis=-1))
+
+
 def sample_latent(e, noise, source: tuple = None) -> LatentSample:
     """Reparameterized draw: mean + exp(0.5 * logvar) * noise."""
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != e.mean.data.shape:
         raise ad.ShapeError(
             f"sample_latent: noise shape {noise.shape} vs mean shape {e.mean.shape}")
-    std = ad.exp(ad.scale(e.logvar, 0.5))
-    values = ad.add(e.mean, ad.mul(std, Tensor(noise)))
-    return LatentSample(values, source)
+    return LatentSample(_sample(e.mean, e.logvar, noise), source)
 
 
 def weighted_distance(s1, s2, logvar=None) -> Tensor:
     """L2 norm of exp(-0.5 * logvar) * (s1 - s2); plain L2 when logvar is None/0."""
-    a, b = _as_tensor(s1), _as_tensor(s2)
-    diff = ad.sub(a, b)
-    if logvar is not None:
-        w = np.exp(-0.5 * np.asarray(
-            logvar.data if isinstance(logvar, Tensor) else logvar, dtype=np.float64))
-        diff = ad.mul(diff, Tensor(w))
-    return ad.sqrt(ad.tsum(ad.square(diff)))
+    diff = ad.sub(_as_tensor(s1), _as_tensor(s2))
+    return _distance(diff, None if logvar is None else _as_tensor(logvar).data)
 
 
 def class_posterior(query_samples: Sequence[LatentSample],
@@ -114,17 +120,18 @@ def class_posterior(query_samples: Sequence[LatentSample],
     """
     class_ids = sorted(proto_samples)
     Z = len(query_samples)
-    dists = np.empty((Z, len(class_ids)))
-    for ci, c in enumerate(class_ids):
-        samples = proto_samples[c]
-        if len(samples) != Z:
+    for c in class_ids:
+        if len(proto_samples[c]) != Z:
             raise ValueError(
-                f"class {c} supplied {len(samples)} samples, expected Z={Z}")
-        lv = None
-        if weights is not None and cfg.weighted and c in weights:
-            lv = weights[c]
-        for z in range(Z):
-            dists[z, ci] = weighted_distance(query_samples[z], samples[z], lv).item()
+                f"class {c} supplied {len(proto_samples[c])} samples, expected Z={Z}")
+    queries = np.stack([_as_tensor(s).data for s in query_samples])       # (Z, D)
+    protos = np.stack([[_as_tensor(s).data for s in proto_samples[c]]
+                       for c in class_ids], axis=1)                        # (Z, C, D)
+    lv = None
+    if weights is not None and cfg.weighted:
+        lv = np.stack([_as_tensor(weights[c]).data if c in weights
+                       else np.zeros(protos.shape[-1]) for c in class_ids])
+    dists = _distance(Tensor(queries[:, None, :] - protos), lv).data      # (Z, C)
     logits = -dists / cfg.tau
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
@@ -147,31 +154,51 @@ def _distance_softmax_ce(query_mean: Tensor, query_logvar: Tensor,
     pn = noise_stream.standard_normal((Z, C, D))
     qn = noise_stream.standard_normal((Q, Z, D))
 
-    proto_std = ad.exp(ad.scale(proto_logvar, 0.5))
-    ps = ad.add(ad.reshape(proto_mean, (1, C, D)),
-                ad.mul(ad.reshape(proto_std, (1, C, D)), Tensor(pn)))  # (Z, C, D)
-    query_std = ad.exp(ad.scale(query_logvar, 0.5))
-    qs = ad.add(ad.reshape(query_mean, (Q, 1, D)),
-                ad.mul(ad.reshape(query_std, (Q, 1, D)), Tensor(qn)))  # (Q, Z, D)
-
-    diff = ad.sub(ad.reshape(qs, (Q, Z, 1, D)), ad.reshape(ps, (1, Z, C, D)))
-    if weight_logvar is not None:
-        diff = ad.mul(diff, Tensor(np.exp(-0.5 * weight_logvar).reshape(1, 1, C, D)))
-    dist = ad.sqrt(ad.tsum(ad.square(diff), axis=-1))  # (Q, Z, C)
+    ps = _sample(proto_mean, proto_logvar, pn)                             # (Z, C, D)
+    qs = _sample(ad.reshape(query_mean, (Q, 1, D)),
+                 ad.reshape(query_logvar, (Q, 1, D)), qn)                  # (Q, Z, D)
+    dist = _distance(ad.sub(ad.reshape(qs, (Q, Z, 1, D)), ps), weight_logvar)  # (Q, Z, C)
     logits = ad.scale(dist, -1.0 / cfg.tau)
     lse = ad.logsumexp(logits, axis=-1)                # (Q, Z)
     true = ad.take_class(logits, label_idx)            # (Q, Z)
     return ad.tmean(ad.sub(lse, true))
 
 
-def _stack_protos(prototypes: Sequence[VariationalPrototype]):
-    protos = sorted(prototypes, key=lambda p: p.class_id)
-    class_ids = [p.class_id for p in protos]
+def mixed_classification_loss(mean: Tensor, logvar: Tensor, labels: Sequence[int],
+                              online: Sequence[VariationalPrototype],
+                              frozen: Sequence[VariationalPrototype],
+                              cfg: SamplingConfig, noise_stream) -> Tensor:
+    """The distance-softmax cross-entropy; the list-of-pairs losses are views.
+
+    Row q of ``mean``/``logvar`` (Q, D) is a query of class ``labels[q]``. It
+    is scored in one posterior over the ``online`` prototypes, which pass
+    gradients, and the ``frozen`` ones, which are constant regression
+    targets. Frozen entries are weighted by their own log-variance when
+    cfg.weighted; online entries never are. Every label needs a prototype.
+    """
+    entries = sorted([(p, False) for p in online] + [(p, True) for p in frozen],
+                     key=lambda entry: entry[0].class_id)
+    class_ids = [p.class_id for p, _ in entries]
     if len(set(class_ids)) != len(class_ids):
         raise ValueError(f"duplicate class ids among prototypes: {class_ids}")
-    mean = ad.stack([p.mean for p in protos])
-    logvar = ad.stack([p.logvar for p in protos])
-    return protos, class_ids, mean, logvar
+    index = {c: i for i, c in enumerate(class_ids)}
+    for label in labels:
+        if label not in index:
+            raise ValueError(f"query label {label} has no prototype")
+    pm = ad.stack([Tensor(p.mean.data) if fixed else p.mean for p, fixed in entries])
+    plv = ad.stack([Tensor(p.logvar.data) if fixed else p.logvar for p, fixed in entries])
+    wlv = None
+    if cfg.weighted and frozen:
+        wlv = np.stack([p.logvar.data if fixed else np.zeros_like(p.logvar.data)
+                        for p, fixed in entries])
+    label_idx = np.array([index[label] for label in labels])
+    return _distance_softmax_ce(mean, logvar, label_idx, pm, plv, wlv, cfg, noise_stream)
+
+
+def _stack_pairs(pairs):
+    """(mean, logvar, labels) of a list of (VariationalEmbedding, class_id)."""
+    return (ad.stack([e.mean for e, _ in pairs]), ad.stack([e.logvar for e, _ in pairs]),
+            [label for _, label in pairs])
 
 
 def classification_loss(queries, prototypes: Sequence[VariationalPrototype],
@@ -181,15 +208,9 @@ def classification_loss(queries, prototypes: Sequence[VariationalPrototype],
     ``queries`` is a list of (VariationalEmbedding, class_id) pairs; every
     label must have a prototype.
     """
-    _, class_ids, pm, plv = _stack_protos(prototypes)
-    index = {c: i for i, c in enumerate(class_ids)}
-    for _, label in queries:
-        if label not in index:
-            raise ValueError(f"query label {label} has no prototype")
-    label_idx = np.array([index[label] for _, label in queries])
-    qm = ad.stack([e.mean for e, _ in queries])
-    qlv = ad.stack([e.logvar for e, _ in queries])
-    return _distance_softmax_ce(qm, qlv, label_idx, pm, plv, None, cfg, noise_stream)
+    mean, logvar, labels = _stack_pairs(queries)
+    return mixed_classification_loss(mean, logvar, labels, prototypes, [], cfg,
+                                     noise_stream)
 
 
 def replay_loss(exemplar_embeddings, stored: Sequence[VariationalPrototype],
@@ -203,64 +224,18 @@ def replay_loss(exemplar_embeddings, stored: Sequence[VariationalPrototype],
     tasks = {p.task_id for p in stored}
     if len(tasks) != 1:
         raise ValueError(f"stored prototypes span several tasks: {sorted(tasks)}")
-    frozen = [VariationalPrototype(p.task_id, p.class_id,
-                                   Tensor(p.mean.data.copy()),
-                                   Tensor(p.logvar.data.copy())) for p in stored]
-    _, class_ids, pm, plv = _stack_protos(frozen)
-    index = {c: i for i, c in enumerate(class_ids)}
-    for _, label in exemplar_embeddings:
-        if label not in index:
-            raise ValueError(
-                f"exemplar class {label} absent from task-{tasks.pop()} prototypes")
-    label_idx = np.array([index[label] for _, label in exemplar_embeddings])
-    qm = ad.stack([e.mean for e, _ in exemplar_embeddings])
-    qlv = ad.stack([e.logvar for e, _ in exemplar_embeddings])
-    wlv = plv.data if cfg.weighted else None
-    return _distance_softmax_ce(qm, qlv, label_idx, pm, plv, wlv, cfg, noise_stream)
+    mean, logvar, labels = _stack_pairs(exemplar_embeddings)
+    return mixed_classification_loss(mean, logvar, labels, [], stored, cfg, noise_stream)
 
 
-def mixed_classification_loss(queries,
-                              new_prototypes: Sequence[VariationalPrototype],
-                              old_prototypes: Sequence[VariationalPrototype],
-                              cfg: SamplingConfig, noise_stream) -> Tensor:
-    """New-task queries scored against online new prototypes plus stored old
-    ones in a single posterior; old-class entries are variance-weighted (when
-    cfg.weighted), new-class entries are not. Old prototypes stay constant.
-    """
-    frozen_old = [VariationalPrototype(p.task_id, p.class_id,
-                                       Tensor(p.mean.data.copy()),
-                                       Tensor(p.logvar.data.copy()))
-                  for p in old_prototypes]
-    protos, class_ids, pm, plv = _stack_protos(list(new_prototypes) + frozen_old)
-    old_ids = {p.class_id for p in frozen_old}
-    index = {c: i for i, c in enumerate(class_ids)}
-    for _, label in queries:
-        if label not in index:
-            raise ValueError(f"query label {label} has no prototype")
-    label_idx = np.array([index[label] for _, label in queries])
-    qm = ad.stack([e.mean for e, _ in queries])
-    qlv = ad.stack([e.logvar for e, _ in queries])
-    wlv = None
-    if cfg.weighted and old_ids:
-        wlv = np.zeros(pm.shape)
-        for i, p in enumerate(protos):
-            if p.class_id in old_ids:
-                wlv[i] = p.logvar.data
-    return _distance_softmax_ce(qm, qlv, label_idx, pm, plv, wlv, cfg, noise_stream)
-
-
-def logvar_match_loss(exemplar_embeddings,
+def logvar_match_loss(logvar: Tensor, labels: Sequence[int],
                       stored: Sequence[VariationalPrototype]) -> Tensor:
-    """Variance-only recall: squared error between each exemplar's predicted
-    log-variance and its class's stored prototype log-variance."""
-    by_class = {p.class_id: p for p in stored}
-    terms = []
-    for emb, label in exemplar_embeddings:
+    """Variance-only recall: mean squared error between each row of the
+    predicted ``logvar`` (Q, D) and the stored prototype log-variance of its
+    class ``labels[q]``."""
+    by_class = {p.class_id: p.logvar.data for p in stored}
+    for label in labels:
         if label not in by_class:
             raise ValueError(f"exemplar class {label} absent from stored prototypes")
-        target = Tensor(by_class[label].logvar.data.copy())
-        terms.append(ad.tmean(ad.square(ad.sub(emb.logvar, target))))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(terms))
+    target = Tensor(np.stack([by_class[label] for label in labels]))
+    return ad.tmean(ad.square(ad.sub(logvar, target)))

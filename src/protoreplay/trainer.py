@@ -18,14 +18,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import memory as mem
-from . import proto
 from .analysis import AccuracyMatrix
 from .autodiff import Tensor
 from .data import Dataset, Image, ProtocolSchedule, task_test_images, task_train_images
 from .encoder import (EncoderParams, baseline_head, encode_batch, grow_head,
                       init_encoder)
-from .proto import (SamplingConfig, VariationalEmbedding, VariationalPrototype,
-                    logvar_match_loss, mixed_classification_loss, replay_loss)
+from .proto import (SamplingConfig, VariationalPrototype, logvar_match_loss,
+                    mixed_classification_loss)
 
 REPLAY_ORDERS = ("forward", "backward", "current_only")
 RECALL_MODES = ("mean_and_var", "mean_only", "var_only")
@@ -113,31 +112,17 @@ def sgd_step(params: EncoderParams, learning_rate: float):
         t.grad = None
 
 
-def _row_embeddings(mean: Tensor, logvar: Tensor) -> List[VariationalEmbedding]:
-    return [VariationalEmbedding(ad.reshape(ad.narrow(mean, 0, i, 1), (-1,)),
-                                 ad.reshape(ad.narrow(logvar, 0, i, 1), (-1,)))
-            for i in range(mean.shape[0])]
-
-
 def _encode_images(params: EncoderParams, images: List[Image]):
     pixels = np.stack([img.pixels for img in images])
     return encode_batch(params, pixels)
 
 
-def _batch_prototype(params: EncoderParams, images: List[Image],
-                     task_id: int, class_id: int) -> VariationalPrototype:
-    mean, logvar = _encode_images(params, images)
+def _prototype(task_id: int, class_id: int, mean: Tensor, logvar: Tensor,
+               rows) -> VariationalPrototype:
+    """Average of the given rows of an encoded batch (differentiable)."""
     return VariationalPrototype(task_id, class_id,
-                                ad.mean_over_axis(mean, axis=0),
-                                ad.mean_over_axis(logvar, axis=0))
-
-
-def _detached_prototype(params: EncoderParams, images: List[Image],
-                        task_id: int, class_id: int) -> VariationalPrototype:
-    p = _batch_prototype(params, images, task_id, class_id)
-    return VariationalPrototype(task_id, class_id,
-                                Tensor(p.mean.data.copy()),
-                                Tensor(p.logvar.data.copy()))
+                                ad.mean_over_axis(ad.take_rows(mean, rows), axis=0),
+                                ad.mean_over_axis(ad.take_rows(logvar, rows), axis=0))
 
 
 def _replay_task_order(previous_tasks: List[int], order: str) -> List[int]:
@@ -179,6 +164,31 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
         if cfg.recall == "mean_only":
             old_protos = _zeroed_logvars(old_protos)
 
+    # Replay terms in replay order: (targets, exemplar rows, labels). Each
+    # stored exemplar gets one row of the exemplar block, however many terms
+    # use it; the memory does not change until the task ends.
+    replay_terms = []
+    exemplars: List[Image] = []
+    row_of: Dict[int, int] = {}     # id(exemplar) -> its row in the block
+    if previous_tasks and cfg.replay_weight > 0:
+        for t in _replay_task_order(previous_tasks, cfg.replay_order):
+            stored = state.memory.task_prototypes(t)
+            rows = []
+            for c in sorted({p.class_id for p in stored}):
+                for img in state.memory.exemplars.get(c, []):
+                    # In the permuted-domain setting an exemplar only
+                    # matches the prototypes of its own task (its
+                    # pixels carry that task's permutation).
+                    if protocol == "incremental_domain" and img.task != t:
+                        continue
+                    if id(img) not in row_of:
+                        row_of[id(img)] = len(exemplars)
+                        exemplars.append(img)
+                    rows.append(row_of[id(img)])
+            if rows:
+                targets = _zeroed_logvars(stored) if cfg.recall == "mean_only" else stored
+                replay_terms.append((targets, rows, [exemplars[r].label for r in rows]))
+
     for _ in range(cfg.epochs_per_task):
         chunks: Dict[int, List[List[Image]]] = {}
         n_batches = 0
@@ -191,81 +201,75 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
             n_batches = max(n_batches, len(chunks[c]))
 
         for b in range(n_batches):
-            new_protos = []
-            queries = []
+            # one encoder pass: each class's support then query images, then
+            # the exemplar block
+            images: List[Image] = []
+            splits = []                   # (class, support rows, query rows)
             for c in new_classes:
                 if b >= len(chunks[c]) or len(chunks[c][b]) < 2:
                     continue
                 support, query = split_support_query(
                     chunks[c][b], cfg.support_fraction, state.rng)
-                new_protos.append(_batch_prototype(state.encoder, support, task_id, c))
-                qm, qlv = _encode_images(state.encoder, query)
-                queries.extend((e, c) for e in _row_embeddings(qm, qlv))
-            if not queries:
+                n = len(images)
+                images += support + query
+                splits.append((c, range(n, n + len(support)),
+                               range(n + len(support), len(images))))
+            if not splits:
                 continue
+            mean, logvar = _encode_images(state.encoder, images + exemplars)
 
-            loss = mixed_classification_loss(queries, new_protos, old_protos,
-                                             scfg, state.noise)
-            if previous_tasks and cfg.replay_weight > 0:
-                replay_sum = None
-                for t in _replay_task_order(previous_tasks, cfg.replay_order):
-                    stored = state.memory.task_prototypes(t)
-                    stored_ids = {p.class_id for p in stored}
-                    exemplars = []
-                    for c in sorted(stored_ids):
-                        for img in state.memory.exemplars.get(c, []):
-                            # In the permuted-domain setting an exemplar only
-                            # matches the prototypes of its own task (its
-                            # pixels carry that task's permutation).
-                            if protocol == "incremental_domain" and img.task != t:
-                                continue
-                            exemplars.append(img)
-                    if not exemplars:
-                        continue
-                    em, elv = _encode_images(state.encoder, exemplars)
-                    embs = list(zip(_row_embeddings(em, elv),
-                                    [img.label for img in exemplars]))
-                    if cfg.recall == "var_only":
-                        term = logvar_match_loss(embs, stored)
-                    else:
-                        targets = _zeroed_logvars(stored) if cfg.recall == "mean_only" \
-                            else stored
-                        term = replay_loss(embs, targets, scfg, state.noise)
-                    replay_sum = term if replay_sum is None else ad.add(replay_sum, term)
-                if replay_sum is not None:
-                    loss = ad.add(loss, ad.scale(replay_sum, cfg.replay_weight))
+            online = [_prototype(task_id, c, mean, logvar, s) for c, s, _ in splits]
+            rows = [r for _, _, q in splits for r in q]
+            labels = [c for c, _, q in splits for _ in q]
+            loss = mixed_classification_loss(ad.take_rows(mean, rows),
+                                             ad.take_rows(logvar, rows), labels,
+                                             online, old_protos, scfg, state.noise)
+            replay_sum = None
+            for targets, ex_rows, ex_labels in replay_terms:
+                rows = [len(images) + r for r in ex_rows]
+                if cfg.recall == "var_only":
+                    term = logvar_match_loss(ad.take_rows(logvar, rows), ex_labels, targets)
+                else:
+                    term = mixed_classification_loss(
+                        ad.take_rows(mean, rows), ad.take_rows(logvar, rows), ex_labels,
+                        [], targets, scfg, state.noise)
+                replay_sum = term if replay_sum is None else ad.add(replay_sum, term)
+            if replay_sum is not None:
+                loss = ad.add(loss, ad.scale(replay_sum, cfg.replay_weight))
 
             for p in state.encoder.parameters():
                 p.grad = np.zeros_like(p.data)
             loss.backward()
             sgd_step(state.encoder, cfg.learning_rate)
 
-    # end of task: freeze prototypes and update the episodic memory
-    protos = [_detached_prototype(state.encoder, by_class[c], task_id, c)
-              for c in new_classes]
+    # End of task: freeze prototypes, all groups from one encoder pass. The
+    # new classes' prototypes come from the full task data. Old-class ones
+    # are refreshed from the replayed exemplars; with replay disabled those
+    # images never pass through the network, so the stored prototypes stay
+    # at their last coordinates.
+    groups = [(task_id, c, by_class[c]) for c in new_classes]
     if protocol == "incremental_class" and cfg.replay_weight > 0:
-        # Old-class prototypes are refreshed from the replayed exemplars;
-        # with replay disabled those images never pass through the network,
-        # so the stored prototypes stay at their last coordinates.
-        for c in sorted(state.memory.exemplars):
-            if c in by_class:
-                continue
-            protos.append(_detached_prototype(
-                state.encoder, state.memory.exemplars[c], task_id, c))
-    mem.store_prototypes(state.memory, task_id, protos)
+        groups += [(task_id, c, state.memory.exemplars[c])
+                   for c in sorted(state.memory.exemplars) if c not in by_class]
     if protocol == "incremental_domain" and cfg.replay_weight > 0:
-        # Refresh each previous task's prototypes from its own replayed
-        # exemplars (class ids repeat across tasks here, so the (task, class)
-        # entry is replaced in place rather than re-stored under task_id).
+        # Each previous task's prototypes come from its own exemplars (class
+        # ids repeat across tasks here, so the (task, class) entry is
+        # replaced in place rather than re-stored under task_id).
         for t in previous_tasks:
-            by_tc: Dict[int, List[Image]] = {}
-            for c, imgs in state.memory.exemplars.items():
-                kept = [img for img in imgs if img.task == t]
+            for c in sorted(state.memory.exemplars):
+                kept = [img for img in state.memory.exemplars[c] if img.task == t]
                 if kept:
-                    by_tc[c] = kept
-            for c, imgs in sorted(by_tc.items()):
-                state.memory.prototype_history[(t, c)] = _detached_prototype(
-                    state.encoder, imgs, t, c)
+                    groups.append((t, c, kept))
+    mean, logvar = _encode_images(state.encoder,
+                                  [img for _, _, imgs in groups for img in imgs])
+    ends = np.cumsum([len(imgs) for _, _, imgs in groups])
+    protos = [_prototype(t, c, mean, logvar, range(end - len(imgs), end))
+              for (t, c, imgs), end in zip(groups, ends)]
+    mem.store_prototypes(state.memory, task_id, [p for p in protos if p.task_id == task_id])
+    for p in protos:
+        if p.task_id != task_id:
+            state.memory.prototype_history[(p.task_id, p.class_id)] = VariationalPrototype(
+                p.task_id, p.class_id, p.mean.detach(), p.logvar.detach())
 
     classes_after = set(state.classes_seen) | set(new_classes)
     if cfg.budget_elements is not None:
@@ -380,10 +384,7 @@ def train_baseline(kind: str, dataset: Dataset, schedule: ProtocolSchedule,
     if kind not in ("sgd_naive", "l2"):
         raise ValueError(f"unknown baseline {kind!r}")
     rng = np.random.default_rng([cfg.seed, 3])
-    if schedule.kind == "incremental_class":
-        num_classes = len(schedule.tasks[0].class_ids)
-    else:
-        num_classes = len(schedule.tasks[0].class_ids)
+    num_classes = len(schedule.tasks[0].class_ids)
     layers = baseline_head(encoder_layers, num_classes)
     params = init_encoder(layers, latent_dim=0, seed=cfg.seed)
     prev_snapshot = None

@@ -119,6 +119,7 @@ def test_gradcheck_rejects_non_scalar():
     ("square", lambda x: ad.tsum(ad.square(x)), [(4,)]),
     ("logsumexp", lambda x: ad.tsum(ad.logsumexp(x, axis=-1)), [(3, 4)]),
     ("stack", lambda a, b: ad.tsum(ad.square(ad.stack([a, b]))), [(4,), (4,)]),
+    ("take_rows", lambda x: ad.tsum(ad.square(ad.take_rows(x, [2, 0, 2]))), [(3, 2)]),
 ])
 def test_gradcheck_per_op(name, f, shapes):
     rng = np.random.default_rng(hash(name) % 2**32)

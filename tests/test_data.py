@@ -161,6 +161,26 @@ def test_permuted_task_images_apply_permutation():
     assert np.array_equal(first.pixels, ds.train[0].pixels)
 
 
+def test_permuted_protocol_on_multichannel_images():
+    # the permutation runs over C*H*W, so channels mix like pixels do
+    rng = np.random.default_rng(5)
+    train = [Image(rng.standard_normal((3, 4, 4)), c, index=i)
+             for c in range(2) for i in range(3)]
+    test = [Image(rng.standard_normal((3, 4, 4)), c, index=10 + c) for c in range(2)]
+    ds = Dataset(train, test, 2)
+    spec = permuted_protocol(ds, 2, seed=4).tasks[1]
+    assert spec.permutation.size == 48
+    pairs = list(zip(task_train_images(ds, spec), train))
+    pairs += list(zip(task_test_images(ds, spec), test))
+    assert len(pairs) == len(train) + len(test)
+    for got, base in pairs:
+        assert got.pixels.shape == (3, 4, 4)
+        assert np.array_equal(np.sort(got.pixels, axis=None),
+                              np.sort(base.pixels, axis=None))
+        assert np.array_equal(got.pixels.reshape(-1),
+                              base.pixels.reshape(-1)[spec.permutation])
+
+
 def test_permuted_protocol_rejects_zero_tasks():
     ds = synthetic_blobs(2, 4, 2, 2, 1.0, seed=0)
     with pytest.raises(ValueError):

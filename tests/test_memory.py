@@ -197,7 +197,8 @@ def test_footprint_rejects_unknown_mode():
 # ---------------------------------------------------------------------------
 # serialization
 
-def test_save_load_roundtrip_bitwise(tmp_path):
+def saved_memory(tmp_path):
+    """A snapshot with exemplars and prototypes: (memory, its file path)."""
     mem = EpisodicMemory(budget_elements=1000)
     store_exemplars(mem, 1, {0: images(0, 3), 1: images(1, 2, task=2)}, 3,
                     np.random.default_rng(0))
@@ -205,6 +206,11 @@ def test_save_load_roundtrip_bitwise(tmp_path):
     store_prototypes(mem, 2, [prototype(2, 0)])
     path = tmp_path / "memory.bin"
     save_memory(mem, path)
+    return mem, path
+
+
+def test_save_load_roundtrip_bitwise(tmp_path):
+    mem, path = saved_memory(tmp_path)
     loaded = load_memory(path)
     assert loaded.budget_elements == 1000
     assert sorted(loaded.exemplars) == sorted(mem.exemplars)
@@ -225,3 +231,18 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTAMEM\x00" + b"\x00" * 64)
     with pytest.raises(ValueError):
         load_memory(path)
+
+
+def test_load_rejects_truncated_and_trailing_bytes(tmp_path):
+    _, path = saved_memory(tmp_path)
+    data = path.read_bytes()
+    bad = tmp_path / "bad.bin"
+    for cut in range(len(data)):
+        bad.write_bytes(data[:cut])
+        with pytest.raises(ValueError) as err:
+            load_memory(bad)
+        assert str(bad) in str(err.value), f"cut at byte {cut}"
+    for extra in (b"\x00", b"\x00" * 8, data):
+        bad.write_bytes(data + extra)
+        with pytest.raises(ValueError, match="trailing"):
+            load_memory(bad)

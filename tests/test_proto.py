@@ -12,8 +12,8 @@ from protoreplay.autodiff import Tensor
 from protoreplay.proto import (LatentSample, SamplingConfig,
                                VariationalEmbedding, VariationalPrototype,
                                class_posterior, classification_loss,
-                               compute_prototype, replay_loss, sample_latent,
-                               weighted_distance)
+                               compute_prototype, mixed_classification_loss,
+                               replay_loss, sample_latent, weighted_distance)
 
 
 def emb(mean, logvar=None):
@@ -278,31 +278,55 @@ def random_instance(rng):
     return cfg, protos, queries
 
 
-def test_classification_loss_matches_brute_force_oracle():
-    rng = np.random.default_rng(2024)
+def assert_matches_oracle(rng_seed, loss_of, frozen_of):
+    """100 random instances of ``loss_of(cfg, protos, queries, frozen, noise)``
+    against ``brute_force_loss``. The classes in ``frozen_of(protos, rng)``
+    are weighted by their own log-variance, the others by zeros."""
+    rng = np.random.default_rng(rng_seed)
     for trial in range(100):
         cfg, protos, queries = random_instance(rng)
         seed = int(rng.integers(0, 2**31))
-        loss = classification_loss(
-            [(emb(m, lv), c) for m, lv, c in queries],
-            [proto(c, m, lv) for c, (m, lv) in protos.items()],
-            cfg, np.random.default_rng(seed))
-        expected = brute_force_loss(queries, protos, None, cfg, seed)
+        frozen = frozen_of(protos, rng)
+        weights = {c: lv if c in frozen else np.zeros_like(lv)
+                   for c, (_, lv) in protos.items()}
+        loss = loss_of(cfg, protos, queries, frozen, np.random.default_rng(seed))
+        expected = brute_force_loss(queries, protos, weights, cfg, seed)
         assert abs(loss.item() - expected) < 1e-12, f"trial {trial}"
+
+
+def test_classification_loss_matches_brute_force_oracle():
+    assert_matches_oracle(
+        2024,
+        lambda cfg, protos, queries, frozen, noise: classification_loss(
+            [(emb(m, lv), c) for m, lv, c in queries],
+            [proto(c, m, lv) for c, (m, lv) in protos.items()], cfg, noise),
+        lambda protos, rng: set())
 
 
 def test_replay_loss_matches_brute_force_oracle():
-    rng = np.random.default_rng(77)
-    for trial in range(100):
-        cfg, protos, queries = random_instance(rng)
-        seed = int(rng.integers(0, 2**31))
-        loss = replay_loss(
+    assert_matches_oracle(
+        77,
+        lambda cfg, protos, queries, frozen, noise: replay_loss(
             [(emb(m, lv), c) for m, lv, c in queries],
-            [proto(c, m, lv, task=3) for c, (m, lv) in protos.items()],
-            cfg, np.random.default_rng(seed))
-        weights = {c: lv for c, (m, lv) in protos.items()}
-        expected = brute_force_loss(queries, protos, weights, cfg, seed)
-        assert abs(loss.item() - expected) < 1e-12, f"trial {trial}"
+            [proto(c, m, lv, task=3) for c, (m, lv) in protos.items()], cfg, noise),
+        lambda protos, rng: set(protos))
+
+
+def test_mixed_classification_loss_matches_brute_force_oracle():
+    # online and frozen classes share one posterior; both sets are nonempty
+    def loss_of(cfg, protos, queries, frozen, noise):
+        return mixed_classification_loss(
+            Tensor(np.stack([m for m, _, _ in queries])),
+            Tensor(np.stack([lv for _, lv, _ in queries])),
+            [c for _, _, c in queries],
+            [proto(c, m, lv, task=2) for c, (m, lv) in protos.items() if c not in frozen],
+            [proto(c, m, lv) for c, (m, lv) in protos.items() if c in frozen],
+            cfg, noise)
+
+    assert_matches_oracle(
+        5150, loss_of,
+        lambda protos, rng: set(rng.permutation(len(protos))[
+            :int(rng.integers(1, len(protos)))].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,45 @@ def test_train_task_rejects_repeated_class_in_class_protocol():
         train_task(state, 2, imgs, cfg)
 
 
+def test_one_encoder_pass_per_step_and_per_task_end(monkeypatch):
+    # At task 3 every exemplar of classes 0 and 1 enters two replay terms
+    # (tasks 1 and 2 both hold prototypes of those classes); each step must
+    # still encode it once, in a single pass with the new-class images.
+    import protoreplay.trainer as trainer
+    ds = synthetic_blobs(4, 8, 8, 6, separation=3.0, seed=1)
+    schedule = split_protocol(ds, incremental_class_plan(4, 2, 1, 8), seed=0)
+    cfg = small_cfg(epochs_per_task=2)
+    state = make_state(init_encoder(small_arch(), latent_dim=4, seed=0), cfg)
+    for spec in schedule.tasks[:2]:
+        train_task(state, spec.task_id, task_train_images(ds, spec), cfg)
+
+    events = []                    # each encoded pixel batch, and "step"
+    encode_batch, sgd = trainer.encode_batch, trainer.sgd_step
+
+    def spy_encode(params, pixels):
+        events.append(pixels.copy())
+        return encode_batch(params, pixels)
+
+    def spy_sgd(params, lr):
+        events.append("step")
+        return sgd(params, lr)
+
+    monkeypatch.setattr(trainer, "encode_batch", spy_encode)
+    monkeypatch.setattr(trainer, "sgd_step", spy_sgd)
+    stored = [img for c in sorted(state.memory.exemplars)
+              for img in state.memory.exemplars[c]]
+    train_task(state, 3, task_train_images(ds, schedule.tasks[2]), cfg)
+
+    is_step = [isinstance(e, str) for e in events]
+    steps = sum(is_step)
+    assert steps > 0
+    assert is_step == [False, True] * steps + [False]
+    for batch in events[:-1:2]:
+        for img in stored:
+            hits = np.all(batch == img.pixels, axis=(1, 2, 3)).sum()
+            assert hits == 1, f"exemplar {img.label}/{img.index} encoded {hits} times"
+
+
 # ---------------------------------------------------------------------------
 # continual runs
 
