@@ -318,7 +318,7 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     def backward(g):
         gm = g.reshape(B, co, ho * wo).transpose(0, 2, 1)
         if w.requires_grad or w._backward is not None:
-            gw = np.einsum("bpc,bpk->ck", gm, cols).reshape(co, ci, k, k)
+            gw = (gm.reshape(-1, co).T @ cols.reshape(-1, ci * k * k)).reshape(co, ci, k, k)
             _accumulate(w, gw)
         if x.requires_grad or x._backward is not None:
             gcols = (gm @ wm).reshape(B, ho, wo, ci, k, k)

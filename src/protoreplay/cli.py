@@ -86,8 +86,24 @@ def _build_schedule(protocol: str, schedule_cfg: dict, dataset: Dataset, seed: i
     raise UsageError(f"unknown protocol {protocol!r}")
 
 
+RUN_KEYS = ("dataset", "protocol", "schedule", "architecture", "latent_dim", "samples",
+            "tau", "learning_rate", "epochs_per_task", "batch_per_class",
+            "support_fraction", "replay_weight", "seed", "per_class_quota",
+            "budget_elements", "old_proto_source", "weighted_eval", "ablation")
+ABLATION_KEYS = ("unweighted_distance", "replay_order", "recall")
+
+
+def _reject_unknown(section: dict, known, where: str):
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise UsageError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(known)}")
+
+
 def _trainer_config(cfg: dict) -> TrainerConfig:
+    _reject_unknown(cfg, RUN_KEYS, "config")
     ablation = cfg.get("ablation", {})
+    _reject_unknown(ablation, ABLATION_KEYS, "ablation")
     sampling = SamplingConfig(Z=cfg.get("samples", 50), tau=cfg.get("tau", 1.0),
                               D=cfg.get("latent_dim", 500))
     return TrainerConfig(
@@ -104,6 +120,7 @@ def _trainer_config(cfg: dict) -> TrainerConfig:
         replay_order=ablation.get("replay_order", "forward"),
         recall=ablation.get("recall", "mean_and_var"),
         old_proto_source=cfg.get("old_proto_source", "prev_task"),
+        weighted_eval=cfg.get("weighted_eval", False),
     )
 
 
@@ -132,12 +149,12 @@ def _save_encoder(params, path):
 def cmd_run(args) -> int:
     import os
     cfg = _load_config(args.config)
+    tcfg = _trainer_config(cfg)
     os.makedirs(args.out, exist_ok=True)
     dataset = _build_dataset(cfg.get("dataset", {}))
     schedule = _build_schedule(cfg.get("protocol", "incremental_class"),
                                cfg.get("schedule", {}), dataset,
                                cfg.get("seed", 0))
-    tcfg = _trainer_config(cfg)
     layers, D = _architecture(cfg, dataset)
 
     start = time.time()

@@ -81,31 +81,38 @@ def compute_prototype(embeddings: Sequence[VariationalEmbedding],
     return VariationalPrototype(task_id, class_id, mean, logvar)
 
 
-def _sample(mean: Tensor, logvar: Tensor, noise: np.ndarray) -> Tensor:
-    """Reparameterized draw mean + exp(0.5 * logvar) * noise, broadcast to noise."""
-    return ad.add(mean, ad.mul(ad.exp(ad.scale(logvar, 0.5)), Tensor(noise)))
-
-
-def _distance(diff: Tensor, weight_logvar: Optional[np.ndarray] = None) -> Tensor:
-    """L2 norm over the last axis of exp(-0.5 * weight_logvar) * diff."""
-    if weight_logvar is not None:
-        diff = ad.mul(diff, Tensor(np.exp(-0.5 * weight_logvar)))
-    return ad.sqrt(ad.tsum(ad.square(diff), axis=-1))
-
-
 def sample_latent(e, noise, source: tuple = None) -> LatentSample:
     """Reparameterized draw: mean + exp(0.5 * logvar) * noise."""
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != e.mean.data.shape:
         raise ad.ShapeError(
             f"sample_latent: noise shape {noise.shape} vs mean shape {e.mean.shape}")
-    return LatentSample(_sample(e.mean, e.logvar, noise), source)
+    return LatentSample(ad.add(e.mean, ad.mul(ad.exp(ad.scale(e.logvar, 0.5)), Tensor(noise))),
+                        source)
 
 
 def weighted_distance(s1, s2, logvar=None) -> Tensor:
     """L2 norm of exp(-0.5 * logvar) * (s1 - s2); plain L2 when logvar is None/0."""
     diff = ad.sub(_as_tensor(s1), _as_tensor(s2))
-    return _distance(diff, None if logvar is None else _as_tensor(logvar).data)
+    if logvar is not None:
+        diff = ad.mul(diff, Tensor(np.exp(-0.5 * _as_tensor(logvar).data)))
+    return ad.sqrt(ad.tsum(ad.square(diff), axis=-1))
+
+
+def _sq_distances(qs: np.ndarray, ps: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted squared distances sum_d w[c, d] * (qs[q, z, d] - ps[z, c, d])**2.
+
+    qs: (Q, Z, D) query samples; ps: (Z, C, D) prototype samples; w: (C, D)
+    per-class weights. Expanded into one GEMM plus one Z-batched GEMM so that
+    no (Q, Z, C, D) difference is formed; rounding below zero is clamped.
+    Returns (Q, Z, C).
+    """
+    Q, Z, D = qs.shape
+    wps = w * ps
+    d2 = ((qs * qs).reshape(Q * Z, D) @ w.T).reshape(Q, Z, -1)
+    d2 -= 2.0 * np.matmul(qs.transpose(1, 0, 2), wps.transpose(0, 2, 1)).transpose(1, 0, 2)
+    d2 += (wps * ps).sum(axis=-1)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def class_posterior(query_samples: Sequence[LatentSample],
@@ -127,11 +134,12 @@ def class_posterior(query_samples: Sequence[LatentSample],
     queries = np.stack([_as_tensor(s).data for s in query_samples])       # (Z, D)
     protos = np.stack([[_as_tensor(s).data for s in proto_samples[c]]
                        for c in class_ids], axis=1)                        # (Z, C, D)
-    lv = None
+    w = np.ones(protos.shape[1:])
     if weights is not None and cfg.weighted:
-        lv = np.stack([_as_tensor(weights[c]).data if c in weights
-                       else np.zeros(protos.shape[-1]) for c in class_ids])
-    dists = _distance(Tensor(queries[:, None, :] - protos), lv).data      # (Z, C)
+        for i, c in enumerate(class_ids):
+            if c in weights:
+                w[i] = np.exp(-_as_tensor(weights[c]).data)
+    dists = np.sqrt(_sq_distances(queries[None], protos, w)[0])           # (Z, C)
     logits = -dists / cfg.tau
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
@@ -146,7 +154,8 @@ def _distance_softmax_ce(query_mean: Tensor, query_logvar: Tensor,
     """Shared core: mean over queries and z of -log p(true class | sample).
 
     query_mean/logvar: (Q, D); proto_mean/logvar: (C, D) in ascending class
-    order; weight_logvar: optional constant (C, D) applied per class.
+    order; weight_logvar: optional constant (C, D) applied per class. One
+    autodiff node: forward and the analytic backward are plain BLAS.
     """
     Q, D = query_mean.shape
     C = proto_mean.shape[0]
@@ -154,14 +163,38 @@ def _distance_softmax_ce(query_mean: Tensor, query_logvar: Tensor,
     pn = noise_stream.standard_normal((Z, C, D))
     qn = noise_stream.standard_normal((Q, Z, D))
 
-    ps = _sample(proto_mean, proto_logvar, pn)                             # (Z, C, D)
-    qs = _sample(ad.reshape(query_mean, (Q, 1, D)),
-                 ad.reshape(query_logvar, (Q, 1, D)), qn)                  # (Q, Z, D)
-    dist = _distance(ad.sub(ad.reshape(qs, (Q, Z, 1, D)), ps), weight_logvar)  # (Q, Z, C)
-    logits = ad.scale(dist, -1.0 / cfg.tau)
-    lse = ad.logsumexp(logits, axis=-1)                # (Q, Z)
-    true = ad.take_class(logits, label_idx)            # (Q, Z)
-    return ad.tmean(ad.sub(lse, true))
+    psd = np.exp(0.5 * proto_logvar.data)                                  # (C, D)
+    qsd = np.exp(0.5 * query_logvar.data)[:, None, :]                      # (Q, 1, D)
+    ps = proto_mean.data + psd * pn                                        # (Z, C, D)
+    qs = query_mean.data[:, None, :] + qsd * qn                            # (Q, Z, D)
+    w = np.ones((C, D)) if weight_logvar is None else np.exp(-weight_logvar)
+    dist = np.sqrt(_sq_distances(qs, ps, w))                               # (Q, Z, C)
+    logits = dist * (-1.0 / cfg.tau)
+    top = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - top)
+    total = e.sum(axis=-1)
+    lse = np.log(total) + top[..., 0]                                      # (Q, Z)
+    loss = (lse - logits[np.arange(Q), :, label_idx]).sum() * (1.0 / (Q * Z))
+
+    def backward(g):
+        # h = dL/d(dist^2); an exactly zero distance passes no gradient, as
+        # an exactly zero difference does through sqrt(sum(square(diff)))
+        dlogits = e / total[..., None]
+        dlogits[np.arange(Q), :, label_idx] -= 1.0
+        h = dlogits * (float(g) / (Q * Z) * (-0.5 / cfg.tau))
+        h /= np.maximum(dist, 1e-150)
+        h[dist == 0.0] = 0.0
+        g_qs = qs * (h.reshape(Q * Z, C) @ w).reshape(Q, Z, D)
+        g_qs -= np.matmul(h.transpose(1, 0, 2), w * ps).transpose(1, 0, 2)
+        g_qs *= 2.0
+        g_ps = np.matmul(h.transpose(1, 2, 0), qs.transpose(1, 0, 2))   # (Z, C, D)
+        g_ps -= ps * h.sum(axis=0)[..., None]
+        g_ps *= -2.0 * w
+        ad._accumulate(query_mean, g_qs.sum(axis=1))
+        ad._accumulate(query_logvar, 0.5 * qsd[:, 0] * (g_qs * qn).sum(axis=1))
+        ad._accumulate(proto_mean, g_ps.sum(axis=0))
+        ad._accumulate(proto_logvar, 0.5 * psd * (g_ps * pn).sum(axis=0))
+    return ad._node(loss, (query_mean, query_logvar, proto_mean, proto_logvar), backward)
 
 
 def mixed_classification_loss(mean: Tensor, logvar: Tensor, labels: Sequence[int],

@@ -28,6 +28,7 @@ from .proto import (SamplingConfig, VariationalPrototype, logvar_match_loss,
 
 REPLAY_ORDERS = ("forward", "backward", "current_only")
 RECALL_MODES = ("mean_and_var", "mean_only", "var_only")
+OLD_PROTO_SOURCES = ("prev_task", "latest_all")
 
 
 @dataclass
@@ -60,6 +61,8 @@ class TrainerConfig:
             raise ValueError(f"replay_order must be one of {REPLAY_ORDERS}")
         if self.recall not in RECALL_MODES:
             raise ValueError(f"recall must be one of {RECALL_MODES}")
+        if self.old_proto_source not in OLD_PROTO_SOURCES:
+            raise ValueError(f"old_proto_source must be one of {OLD_PROTO_SOURCES}")
 
     def effective_sampling(self) -> SamplingConfig:
         weighted = self.sampling.weighted and not self.unweighted_distance \
@@ -189,7 +192,7 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
                 targets = _zeroed_logvars(stored) if cfg.recall == "mean_only" else stored
                 replay_terms.append((targets, rows, [exemplars[r].label for r in rows]))
 
-    for _ in range(cfg.epochs_per_task):
+    for epoch in range(cfg.epochs_per_task):
         chunks: Dict[int, List[List[Image]]] = {}
         n_batches = 0
         for c in new_classes:
@@ -236,6 +239,10 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
                 replay_sum = term if replay_sum is None else ad.add(replay_sum, term)
             if replay_sum is not None:
                 loss = ad.add(loss, ad.scale(replay_sum, cfg.replay_weight))
+            if not np.isfinite(loss.item()):
+                raise FloatingPointError(
+                    f"non-finite loss {loss.item()} at task {task_id}, epoch "
+                    f"{epoch + 1}/{cfg.epochs_per_task}, batch {b + 1}/{n_batches}")
 
             for p in state.encoder.parameters():
                 p.grad = np.zeros_like(p.data)
@@ -320,18 +327,14 @@ def evaluate(state: TrainingState, test_images: List[Image],
 
     mean, _ = _encode_images(state.encoder, test_images)
     emb = mean.data
-    hits: Dict[int, int] = {c: 0 for c in classes}
-    totals: Dict[int, int] = {c: 0 for c in classes}
-    correct = 0
-    for i, img in enumerate(test_images):
-        dists = np.linalg.norm(weights * (emb[i][None, :] - means), axis=1)
-        pred = labels[int(np.argmin(dists))]
-        totals[img.label] += 1
-        if pred == img.label:
-            hits[img.label] += 1
-            correct += 1
-    per_class = {c: hits[c] / totals[c] for c in classes if totals[c]}
-    return correct / len(test_images), per_class
+    dists = np.stack([np.linalg.norm(w * (emb - m), axis=1)
+                      for w, m in zip(weights, means)], axis=1)    # (N, P)
+    preds = np.array(labels)[dists.argmin(axis=1)]
+    truth = np.array([img.label for img in test_images])
+    hit = preds == truth
+    per_class = {c: np.count_nonzero(hit[truth == c]) / np.count_nonzero(truth == c)
+                 for c in classes if np.any(truth == c)}
+    return np.count_nonzero(hit) / len(test_images), per_class
 
 
 def run_continual(dataset: Dataset, schedule: ProtocolSchedule,

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from protoreplay.cli import main
+from protoreplay.cli import _trainer_config, main
 
 
 def run_config(tmp_path, **overrides):
@@ -130,3 +132,30 @@ def test_unknown_dataset_kind_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 2
     assert "unknown dataset kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"learning_rat": 5.0}, "learning_rat"),
+    ({"ablation": {"recall": "mean_only", "unweighted": True}}, "unweighted"),
+])
+def test_unknown_config_key_exits_two(tmp_path, capsys, overrides, key):
+    cfg = run_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_weighted_eval_reaches_trainer_config():
+    assert _trainer_config({"weighted_eval": True}).weighted_eval is True
+    assert _trainer_config({}).weighted_eval is False
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    cfg["epochs_per_task"] = 2      # the keys are under test, not the accuracy
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "run complete" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Prototype math: averaging, sampling, distances, posteriors, losses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,3 +400,115 @@ def test_losses_are_non_negative():
             [proto(c, m, lv) for c, (m, lv) in protos.items()],
             cfg, np.random.default_rng(int(rng.integers(0, 1000))))
         assert loss.item() >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the fused loss node
+
+def mixed_instance(rng, Q, C, D):
+    """Q queries over C classes: the even classes online (passing gradients),
+    the odd ones frozen."""
+    mean = Tensor(rng.uniform(-1, 1, (Q, D)), requires_grad=True)
+    logvar = Tensor(rng.uniform(-0.5, 0.5, (Q, D)), requires_grad=True)
+    protos = [VariationalPrototype(1, c, Tensor(rng.uniform(-1, 1, D), requires_grad=True),
+                                   Tensor(rng.uniform(-0.5, 0.5, D), requires_grad=True))
+              for c in range(C)]
+    labels = [q % C for q in range(Q)]
+    return mean, logvar, labels, protos[0::2], protos[1::2]
+
+
+def test_mixed_loss_peak_memory_stays_below_two_full_distance_tensors():
+    Q, Z, C, D = 5, 50, 8, 500
+    cfg = SamplingConfig(Z=Z, tau=1.0, D=D, weighted=True)
+    mean, logvar, labels, online, frozen = mixed_instance(np.random.default_rng(3), Q, C, D)
+    noise = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        loss = mixed_classification_loss(mean, logvar, labels, online, frozen, cfg, noise)
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss.item())
+    assert all(t.grad is not None for t in (mean, logvar, online[0].mean, online[0].logvar))
+    assert peak < 2 * Q * Z * C * D * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+def composed_loss(mean, logvar, labels, protos, cfg, noise, weight_logvar=None):
+    """The distance-softmax cross-entropy as a graph of generic autodiff ops,
+    for comparing gradients with the fused node. ``protos`` are in ascending
+    class order; ``weight_logvar`` is an optional constant (C, D)."""
+    Q, D = mean.shape
+    C, Z = len(protos), cfg.Z
+    pn = noise.standard_normal((Z, C, D))
+    qn = noise.standard_normal((Q, Z, D))
+    pm = ad.stack([p.mean for p in protos])
+    plv = ad.stack([p.logvar for p in protos])
+    ps = ad.add(pm, ad.mul(ad.exp(ad.scale(plv, 0.5)), Tensor(pn)))
+    qs = ad.add(ad.reshape(mean, (Q, 1, D)),
+                ad.mul(ad.exp(ad.scale(ad.reshape(logvar, (Q, 1, D)), 0.5)), Tensor(qn)))
+    dist = weighted_distance(ad.reshape(qs, (Q, Z, 1, D)), ps, weight_logvar)
+    logits = ad.scale(dist, -1.0 / cfg.tau)
+    return ad.tmean(ad.sub(ad.logsumexp(logits, axis=-1), ad.take_class(logits, labels)))
+
+
+def test_fused_gradients_match_composed_graph():
+    rng = np.random.default_rng(21)
+    for trial in range(20):
+        Q, C, D = int(rng.integers(1, 5)), int(rng.integers(2, 6)), int(rng.integers(1, 7))
+        cfg = SamplingConfig(Z=int(rng.integers(1, 5)), tau=float(rng.uniform(0.5, 2.0)), D=D)
+        mean, logvar, labels, online, frozen = mixed_instance(rng, Q, C, D)
+        params = [mean, logvar] + [x for p in online for x in (p.mean, p.logvar)]
+        fused = mixed_classification_loss(mean, logvar, labels, online, frozen, cfg,
+                                          np.random.default_rng(trial))
+        fused.backward()
+        got = [t.grad for t in params]
+        for t in params:
+            t.grad = None
+        frozen_ids = {p.class_id for p in frozen}
+        protos = sorted(online + [VariationalPrototype(1, p.class_id, Tensor(p.mean.data),
+                                                       Tensor(p.logvar.data))
+                                  for p in frozen], key=lambda p: p.class_id)
+        weights = np.stack([p.logvar.data if p.class_id in frozen_ids
+                            else np.zeros(D) for p in protos])
+        composed = composed_loss(mean, logvar, labels, protos, cfg,
+                                 np.random.default_rng(trial), weights)
+        composed.backward()
+        assert abs(fused.item() - composed.item()) < 1e-12, f"trial {trial}"
+        for g, t in zip(got, params):
+            assert np.max(np.abs(g - t.grad)) < 1e-10, f"trial {trial}"
+
+
+@pytest.mark.parametrize("C, D, Z", [(3, 6, 3), (8, 500, 5)])
+def test_coincident_samples_give_finite_small_gradients(C, D, Z):
+    # log-variances of -1500 make every sample equal its mean exactly; each
+    # query sits on its class's online prototype, so those distances are 0
+    # and pass no gradient, while the other classes' terms still do. The
+    # fused node expands |q - p|^2 = |q|^2 - 2 q.p + |p|^2, which can round
+    # a zero distance up to about sqrt(eps) |q|; the gradient that leaves is
+    # of order sqrt(eps), hence the 1e-7 tolerance.
+    rng = np.random.default_rng(8)
+    cfg = SamplingConfig(Z=Z, tau=1.0, D=D, weighted=False)
+    centers = rng.uniform(-1, 1, (C, D))
+    labels = [0, 1, 2, 1]
+    grads = []
+    for loss_of in (
+            lambda m, lv, ps: mixed_classification_loss(m, lv, labels, ps, [], cfg,
+                                                         np.random.default_rng(0)),
+            lambda m, lv, ps: composed_loss(m, lv, labels, ps, cfg,
+                                            np.random.default_rng(0))):
+        mean = Tensor(centers[labels], requires_grad=True)
+        logvar = Tensor(np.full((len(labels), D), -1500.0), requires_grad=True)
+        online = [VariationalPrototype(1, c, Tensor(centers[c].copy(), requires_grad=True),
+                                       Tensor(np.full(D, -1500.0), requires_grad=True))
+                  for c in range(C)]
+        loss = loss_of(mean, logvar, online)
+        loss.backward()
+        assert np.isfinite(loss.item())
+        grads.append([t.grad for t in [mean, logvar] +
+                      [x for p in online for x in (p.mean, p.logvar)]])
+    fused, composed = grads
+    assert np.any(composed[0] != 0)
+    for got, want in zip(fused, composed):
+        assert np.all(np.isfinite(got)) and np.all(np.abs(got) < 1.0)
+        assert np.max(np.abs(got - want)) < 1e-7

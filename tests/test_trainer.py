@@ -7,7 +7,7 @@ from protoreplay.autodiff import Tensor
 from protoreplay.data import (Image, incremental_class_plan, permuted_protocol,
                               split_protocol, synthetic_blobs,
                               task_test_images, task_train_images)
-from protoreplay.encoder import init_encoder, reference_architecture
+from protoreplay.encoder import encode_batch, init_encoder, reference_architecture
 from protoreplay.proto import SamplingConfig, VariationalPrototype
 from protoreplay.trainer import (TrainerConfig, _replay_task_order, evaluate,
                                  make_state, run_continual, sgd_step,
@@ -86,7 +86,8 @@ def test_sgd_step_requires_gradients():
 def test_trainer_config_validation():
     for bad in [dict(learning_rate=0.0), dict(epochs_per_task=0),
                 dict(support_fraction=1.0), dict(replay_weight=-1.0),
-                dict(replay_order="random"), dict(recall="proto_only")]:
+                dict(replay_order="random"), dict(recall="proto_only"),
+                dict(old_proto_source="bogus")]:
         with pytest.raises(ValueError):
             small_cfg(**bad)
 
@@ -151,6 +152,17 @@ def test_train_task_rejects_repeated_class_in_class_protocol():
     train_task(state, 1, imgs, cfg)
     with pytest.raises(ValueError, match="repeat"):
         train_task(state, 2, imgs, cfg)
+
+
+def test_train_task_stops_on_non_finite_loss():
+    ds = synthetic_blobs(2, 8, 6, 4, 2.0, seed=0)
+    cfg = small_cfg()
+    state = make_state(init_encoder(small_arch(), latent_dim=4, seed=0), cfg)
+    imgs = [Image(img.pixels.copy(), img.label, img.task, img.index) for img in ds.train]
+    imgs[3].pixels[0, 0, 5] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match=r"non-finite loss nan at task 1, epoch 1/5, batch 1/1"):
+        train_task(state, 1, imgs, cfg)
 
 
 def test_one_encoder_pass_per_step_and_per_task_end(monkeypatch):
@@ -235,6 +247,35 @@ def test_domain_run_stores_per_task_prototypes():
                              small_cfg(epochs_per_task=2))
     assert sorted(state.memory.prototype_history) == [
         (t, c) for t in (1, 2, 3) for c in (0, 1, 2)]
+
+
+def test_evaluate_matches_per_image_loop():
+    # the nearest-prototype rule, one test image at a time, as the reference
+    ds = synthetic_blobs(4, 8, 8, 30, separation=1.0, seed=1)
+    schedule = split_protocol(ds, incremental_class_plan(4, 2, 1, 8), seed=0)
+    cfg = small_cfg(epochs_per_task=2, weighted_eval=True)
+    _, state = run_continual(ds, schedule, small_arch(), 4, cfg)
+    tests = ds.test
+    for scope in ("latest", "history"):
+        if scope == "latest":
+            latest = state.memory.latest_prototypes()
+            protos = [latest[c] for c in sorted(latest)]
+        else:
+            protos = [state.memory.prototype_history[k]
+                      for k in sorted(state.memory.prototype_history)]
+        means = np.stack([p.mean.data for p in protos])
+        weights = np.stack([np.exp(-0.5 * p.logvar.data)
+                            if state.classes_seen[p.class_id] < state.current_task
+                            else np.ones(4) for p in protos])
+        emb = encode_batch(state.encoder, np.stack([img.pixels for img in tests]))[0].data
+        preds = [protos[int(np.argmin(np.linalg.norm(weights * (e[None, :] - means),
+                                                     axis=1)))].class_id for e in emb]
+        hits = [p == img.label for p, img in zip(preds, tests)]
+        acc, per_class = evaluate(state, tests, cfg, prototype_scope=scope)
+        assert 0.0 < acc < 1.0
+        assert acc == sum(hits) / len(tests)
+        assert per_class == {c: sum(h for h, img in zip(hits, tests) if img.label == c)
+                             / sum(img.label == c for img in tests) for c in range(4)}
 
 
 # ---------------------------------------------------------------------------
