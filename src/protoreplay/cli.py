@@ -86,24 +86,45 @@ def _build_schedule(protocol: str, schedule_cfg: dict, dataset: Dataset, seed: i
     raise UsageError(f"unknown protocol {protocol!r}")
 
 
-RUN_KEYS = ("dataset", "protocol", "schedule", "architecture", "latent_dim", "samples",
-            "tau", "learning_rate", "epochs_per_task", "batch_per_class",
-            "support_fraction", "replay_weight", "seed", "per_class_quota",
-            "budget_elements", "old_proto_source", "weighted_eval", "ablation")
-ABLATION_KEYS = ("unweighted_distance", "replay_order", "recall")
+class _Section(dict):
+    """One JSON object of a run config that records the keys the run reads.
+
+    `check_read` then names every key that nothing read, in this section or
+    in the ones taken with `section`: a misspelling, or a key that belongs
+    to another dataset kind or schedule form.
+    """
+
+    def __init__(self, data, where: str):
+        if not isinstance(data, dict):
+            raise UsageError(f"{where} must be a JSON object")
+        super().__init__(data)
+        self.where = where
+        self.read = set()
+        self.parts = []
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def section(self, key) -> "_Section":
+        part = _Section(self.get(key, {}), key)
+        self.parts.append(part)
+        return part
+
+    def check_read(self):
+        unread = sorted(set(self) - self.read)
+        if unread:
+            raise UsageError(f"unknown {self.where} key(s) {', '.join(map(repr, unread))}")
+        for part in self.parts:
+            part.check_read()
 
 
-def _reject_unknown(section: dict, known, where: str):
-    unknown = sorted(set(section) - set(known))
-    if unknown:
-        raise UsageError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
-                         f"known: {', '.join(known)}")
-
-
-def _trainer_config(cfg: dict) -> TrainerConfig:
-    _reject_unknown(cfg, RUN_KEYS, "config")
-    ablation = cfg.get("ablation", {})
-    _reject_unknown(ablation, ABLATION_KEYS, "ablation")
+def _trainer_config(cfg: _Section) -> TrainerConfig:
+    ablation = cfg.section("ablation")
     sampling = SamplingConfig(Z=cfg.get("samples", 50), tau=cfg.get("tau", 1.0),
                               D=cfg.get("latent_dim", 500))
     return TrainerConfig(
@@ -120,7 +141,6 @@ def _trainer_config(cfg: dict) -> TrainerConfig:
         replay_order=ablation.get("replay_order", "forward"),
         recall=ablation.get("recall", "mean_and_var"),
         old_proto_source=cfg.get("old_proto_source", "prev_task"),
-        weighted_eval=cfg.get("weighted_eval", False),
     )
 
 
@@ -148,14 +168,15 @@ def _save_encoder(params, path):
 
 def cmd_run(args) -> int:
     import os
-    cfg = _load_config(args.config)
+    cfg = _Section(_load_config(args.config), "config")
     tcfg = _trainer_config(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    dataset = _build_dataset(cfg.get("dataset", {}))
+    dataset = _build_dataset(cfg.section("dataset"))
     schedule = _build_schedule(cfg.get("protocol", "incremental_class"),
-                               cfg.get("schedule", {}), dataset,
+                               cfg.section("schedule"), dataset,
                                cfg.get("seed", 0))
     layers, D = _architecture(cfg, dataset)
+    cfg.check_read()
+    os.makedirs(args.out, exist_ok=True)
 
     start = time.time()
     matrix, state = run_continual(dataset, schedule, layers, D, tcfg)

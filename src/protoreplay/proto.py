@@ -99,13 +99,24 @@ def weighted_distance(s1, s2, logvar=None) -> Tensor:
     return ad.sqrt(ad.tsum(ad.square(diff), axis=-1))
 
 
+def _centre(qs: np.ndarray, ps: np.ndarray) -> None:
+    """Shift query and prototype samples in place by the prototypes' mean.
+
+    Distances do not change, but the expansion in `_sq_distances` rounds
+    relative to |qs|^2 + |ps|^2, so it must see samples near the origin.
+    """
+    ref = ps.mean(axis=(0, 1))
+    qs -= ref
+    ps -= ref
+
+
 def _sq_distances(qs: np.ndarray, ps: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted squared distances sum_d w[c, d] * (qs[q, z, d] - ps[z, c, d])**2.
 
     qs: (Q, Z, D) query samples; ps: (Z, C, D) prototype samples; w: (C, D)
     per-class weights. Expanded into one GEMM plus one Z-batched GEMM so that
     no (Q, Z, C, D) difference is formed; rounding below zero is clamped.
-    Returns (Q, Z, C).
+    The samples should be `_centre`d first. Returns (Q, Z, C).
     """
     Q, Z, D = qs.shape
     wps = w * ps
@@ -139,6 +150,7 @@ def class_posterior(query_samples: Sequence[LatentSample],
         for i, c in enumerate(class_ids):
             if c in weights:
                 w[i] = np.exp(-_as_tensor(weights[c]).data)
+    _centre(queries, protos)
     dists = np.sqrt(_sq_distances(queries[None], protos, w)[0])           # (Z, C)
     logits = -dists / cfg.tau
     logits -= logits.max(axis=1, keepdims=True)
@@ -168,6 +180,7 @@ def _distance_softmax_ce(query_mean: Tensor, query_logvar: Tensor,
     ps = proto_mean.data + psd * pn                                        # (Z, C, D)
     qs = query_mean.data[:, None, :] + qsd * qn                            # (Q, Z, D)
     w = np.ones((C, D)) if weight_logvar is None else np.exp(-weight_logvar)
+    _centre(qs, ps)                         # in place: the backward uses the centred samples
     dist = np.sqrt(_sq_distances(qs, ps, w))                               # (Q, Z, C)
     logits = dist * (-1.0 / cfg.tau)
     top = logits.max(axis=-1, keepdims=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from protoreplay.cli import _trainer_config, main
+from protoreplay.cli import main
 
 
 def run_config(tmp_path, **overrides):
@@ -137,6 +137,11 @@ def test_unknown_dataset_kind_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("overrides, key", [
     ({"learning_rat": 5.0}, "learning_rat"),
     ({"ablation": {"recall": "mean_only", "unweighted": True}}, "unweighted"),
+    ({"dataset": {"kind": "synthetic", "num_classes": 3, "dim": 8, "per_class_train": 8,
+                  "per_class_test": 6, "separation": 3.0, "sepration": 1.0}}, "sepration"),
+    ({"schedule": {"first_task_classes": 2, "clases_per_task": 2}}, "clases_per_task"),
+    # a key of another schedule form is not read either
+    ({"protocol": "incremental_domain", "schedule": {"num_tasks": 2, "quota": 8}}, "quota"),
 ])
 def test_unknown_config_key_exits_two(tmp_path, capsys, overrides, key):
     cfg = run_config(tmp_path, **overrides)
@@ -144,11 +149,6 @@ def test_unknown_config_key_exits_two(tmp_path, capsys, overrides, key):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert repr(key) in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_weighted_eval_reaches_trainer_config():
-    assert _trainer_config({"weighted_eval": True}).weighted_eval is True
-    assert _trainer_config({}).weighted_eval is False
 
 
 def test_readme_example_config_runs(tmp_path, capsys):

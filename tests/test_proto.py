@@ -405,12 +405,13 @@ def test_losses_are_non_negative():
 # ---------------------------------------------------------------------------
 # the fused loss node
 
-def mixed_instance(rng, Q, C, D):
+def mixed_instance(rng, Q, C, D, shift=0.0):
     """Q queries over C classes: the even classes online (passing gradients),
-    the odd ones frozen."""
-    mean = Tensor(rng.uniform(-1, 1, (Q, D)), requires_grad=True)
+    the odd ones frozen. ``shift`` moves every mean by the same amount."""
+    mean = Tensor(shift + rng.uniform(-1, 1, (Q, D)), requires_grad=True)
     logvar = Tensor(rng.uniform(-0.5, 0.5, (Q, D)), requires_grad=True)
-    protos = [VariationalPrototype(1, c, Tensor(rng.uniform(-1, 1, D), requires_grad=True),
+    protos = [VariationalPrototype(1, c, Tensor(shift + rng.uniform(-1, 1, D),
+                                                requires_grad=True),
                                    Tensor(rng.uniform(-0.5, 0.5, D), requires_grad=True))
               for c in range(C)]
     labels = [q % C for q in range(Q)]
@@ -452,12 +453,15 @@ def composed_loss(mean, logvar, labels, protos, cfg, noise, weight_logvar=None):
     return ad.tmean(ad.sub(ad.logsumexp(logits, axis=-1), ad.take_class(logits, labels)))
 
 
-def test_fused_gradients_match_composed_graph():
+@pytest.mark.parametrize("shift", [0.0, 1e3])
+def test_fused_gradients_match_composed_graph(shift):
+    # the composed graph differences the samples directly, so it is exact
+    # however far the latents sit from the origin; the fused node must be too
     rng = np.random.default_rng(21)
     for trial in range(20):
         Q, C, D = int(rng.integers(1, 5)), int(rng.integers(2, 6)), int(rng.integers(1, 7))
         cfg = SamplingConfig(Z=int(rng.integers(1, 5)), tau=float(rng.uniform(0.5, 2.0)), D=D)
-        mean, logvar, labels, online, frozen = mixed_instance(rng, Q, C, D)
+        mean, logvar, labels, online, frozen = mixed_instance(rng, Q, C, D, shift)
         params = [mean, logvar] + [x for p in online for x in (p.mean, p.logvar)]
         fused = mixed_classification_loss(mean, logvar, labels, online, frozen, cfg,
                                           np.random.default_rng(trial))
