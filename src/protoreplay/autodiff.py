@@ -88,13 +88,20 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _accumulate(t: Tensor, grad: np.ndarray):
+def _grad_buffer(t: Tensor):
+    """``t``'s gradient buffer, allocated on first use; None if ``t`` takes
+    no gradient. Indexing ops add into it in place."""
     if not t.requires_grad and t._backward is None:
-        return
-    grad = _unbroadcast(grad, t.data.shape)
+        return None
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += grad
+    return t.grad
+
+
+def _accumulate(t: Tensor, grad: np.ndarray):
+    buf = _grad_buffer(t)
+    if buf is not None:
+        buf += _unbroadcast(grad, t.data.shape)
 
 
 def _node(data: np.ndarray, parents, backward) -> Tensor:
@@ -226,9 +233,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = tuple(idx)
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        _accumulate(a, full)
+        buf = _grad_buffer(a)
+        if buf is not None:
+            buf[idx] += g
     return _node(a.data[idx].copy(), (a,), backward)
 
 
@@ -248,29 +255,26 @@ def take_rows(a: Tensor, rows) -> Tensor:
     rows = np.asarray(rows, dtype=np.intp)
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, rows, g)
-        _accumulate(a, full)
+        buf = _grad_buffer(a)
+        if buf is not None:
+            np.add.at(buf, rows, g)
     return _node(a.data[rows], (a,), backward)
 
 
 def take_class(a: Tensor, labels) -> Tensor:
     """Select ``a[q, ..., labels[q]]`` along the last axis, per leading row."""
     labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape != a.data.shape[:1]:
+    if a.data.ndim < 2 or labels.shape != a.data.shape[:1]:
         raise ShapeError(
             f"take_class: labels shape {labels.shape} vs tensor shape {a.data.shape}")
-    rows = np.arange(a.data.shape[0])
-    out_data = a.data[rows, ..., labels] if a.data.ndim == 2 else \
-        np.take_along_axis(a.data, labels.reshape((-1,) + (1,) * (a.data.ndim - 1)),
-                           axis=-1).squeeze(-1)
+    # each leading row reads one class, so the fancy-index += below repeats no index
+    idx = (np.arange(a.data.shape[0]), Ellipsis, labels)
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, labels.reshape((-1,) + (1,) * (a.data.ndim - 1)),
-                          g[..., None], axis=-1)
-        _accumulate(a, full)
-    return _node(out_data, (a,), backward)
+        buf = _grad_buffer(a)
+        if buf is not None:
+            buf[idx] += g
+    return _node(a.data[idx], (a,), backward)
 
 
 def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
@@ -310,24 +314,26 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"conv2d: kernel {k} too large for input {x.shape} with padding {p}")
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B, ho * wo, ci * k * k)
+    # channel-major im2col: row (c, i, j) of an image's (ci*k*k, ho*wo) block
+    # is padded channel c shifted by (i, j), copied one image row at a time
+    cols = np.lib.stride_tricks.sliding_window_view(xp, (ho, wo), axis=(2, 3)) \
+        .reshape(B, ci * k * k, ho * wo)
     wm = w.data.reshape(co, ci * k * k)
-    out_data = (cols @ wm.T).transpose(0, 2, 1).reshape(B, co, ho, wo)
+    out_data = np.matmul(wm, cols).reshape(B, co, ho, wo)
 
     def backward(g):
-        gm = g.reshape(B, co, ho * wo).transpose(0, 2, 1)
+        gm = g.reshape(B, co, ho * wo)
         if w.requires_grad or w._backward is not None:
-            gw = (gm.reshape(-1, co).T @ cols.reshape(-1, ci * k * k)).reshape(co, ci, k, k)
-            _accumulate(w, gw)
+            gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
+            _accumulate(w, gw.reshape(co, ci, k, k))
         if x.requires_grad or x._backward is not None:
-            gcols = (gm @ wm).reshape(B, ho, wo, ci, k, k)
+            # col2im: row (c, i, j) adds back onto channel c at shift (i, j)
+            gcols = np.matmul(wm.T, gm).reshape(B, ci, k, k, ho, wo)
             gxp = np.zeros((B, ci, H + 2 * p, W + 2 * p))
             for i in range(k):
                 for j in range(k):
-                    gxp[:, :, i:i + ho, j:j + wo] += gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
-            _accumulate(x, gx)
+                    gxp[:, :, i:i + ho, j:j + wo] += gcols[:, :, i, j]
+            _accumulate(x, gxp[:, :, p:p + H, p:p + W] if p else gxp)
     return _node(out_data, (x, w), backward)
 
 
@@ -338,17 +344,20 @@ def maxpool2x2(x: Tensor) -> Tensor:
     B, C, H, W = x.data.shape
     if H % 2 or W % 2:
         raise ShapeError(f"maxpool2x2: spatial dims must be even, got {x.shape}")
-    ho, wo = H // 2, W // 2
-    blocks = x.data.reshape(B, C, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5) \
-        .reshape(B, C, ho, wo, 4)
-    idx = blocks.argmax(axis=-1)
-    out_data = np.take_along_axis(blocks, idx[..., None], axis=-1).squeeze(-1)
+    xr = x.data.reshape(B, C, H // 2, 2, W // 2, 2)
+    corners = ((0, 0), (0, 1), (1, 0), (1, 1))           # row-major in a block
+    quads = [xr[:, :, :, i, :, j] for i, j in corners]
+    out_data = np.maximum(np.maximum(quads[0], quads[1]), np.maximum(quads[2], quads[3]))
 
     def backward(g):
-        gb = np.zeros((B, C, ho, wo, 4))
-        np.put_along_axis(gb, idx[..., None], g[..., None], axis=-1)
-        gx = gb.reshape(B, C, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H, W)
-        _accumulate(x, gx)
+        gx = np.zeros(xr.shape)
+        free = np.ones(out_data.shape, dtype=bool)      # output not yet routed
+        for (i, j), q in zip(corners, quads):
+            hit = q == out_data
+            hit &= free
+            np.copyto(gx[:, :, :, i, :, j], g, where=hit)
+            free ^= hit
+        _accumulate(x, gx.reshape(B, C, H, W))
     return _node(out_data, (x,), backward)
 
 

@@ -66,6 +66,10 @@ def _build_dataset(cfg: dict) -> Dataset:
             train = train[:subset]
             test = test[:subset]
         classes = {img.label for img in train}
+        missing = sorted(classes - {img.label for img in test})
+        if missing:
+            raise UsageError(f"dataset: the test split has no images of classes {missing}"
+                             + (f" within the first {subset}" if subset else ""))
         return Dataset(train, test, num_classes=len(classes))
     raise UsageError(f"unknown dataset kind {kind!r}")
 
@@ -323,6 +327,13 @@ def cmd_gradcheck(args) -> int:
     check("conv2d", lambda x, w: ad.tsum(ad.conv2d(x, w, padding=1)),
           [u(1, 2, 4, 4), u(3, 2, 3, 3)])
     check("maxpool2x2", lambda x: ad.tsum(ad.maxpool2x2(x)), [u(1, 2, 4, 4)])
+    check("conv2d k=5 pad=2", lambda x, w: ad.tsum(ad.square(ad.conv2d(x, w, padding=2))),
+          [u(2, 3, 6, 6), u(4, 3, 5, 5)])
+    # as in the encoder, pooling follows a ReLU: a block with no positive
+    # input ties all four corners at zero, and the ReLU passes no gradient
+    # back from there, which keeps the central differences exact
+    check("maxpool2x2 tied maxima", lambda x: ad.tsum(ad.maxpool2x2(ad.relu(x))),
+          [Tensor(rng.uniform(-1, 0.5, (1, 2, 6, 6)))])
     check("relu", lambda x: ad.tsum(ad.relu(x)), [u(5)])
     check("add", lambda a, b: ad.tsum(ad.add(a, b)), [u(4), u(4)])
     check("sub", lambda a, b: ad.tsum(ad.sub(a, b)), [u(4), u(4)])

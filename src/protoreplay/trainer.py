@@ -46,7 +46,6 @@ class TrainerConfig:
     replay_order: str = "forward"
     recall: str = "mean_and_var"
     old_proto_source: str = "prev_task"   # prev_task | latest_all
-    weighted_eval: bool = False
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -102,6 +101,15 @@ def split_support_query(class_batch: List[Image], support_fraction: float,
     support = [class_batch[i] for i in order[:n_support]]
     query = [class_batch[i] for i in order[n_support:]]
     return support, query
+
+
+def _check_finite(loss: Tensor, task_id: int, epoch: int, epochs: int,
+                  batch: int, batches: int):
+    """Stop the run on a non-finite step loss, naming where it happened."""
+    if not np.isfinite(loss.item()):
+        raise FloatingPointError(
+            f"non-finite loss {loss.item()} at task {task_id}, epoch "
+            f"{epoch + 1}/{epochs}, batch {batch + 1}/{batches}")
 
 
 def sgd_step(params: EncoderParams, learning_rate: float):
@@ -239,10 +247,7 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
                 replay_sum = term if replay_sum is None else ad.add(replay_sum, term)
             if replay_sum is not None:
                 loss = ad.add(loss, ad.scale(replay_sum, cfg.replay_weight))
-            if not np.isfinite(loss.item()):
-                raise FloatingPointError(
-                    f"non-finite loss {loss.item()} at task {task_id}, epoch "
-                    f"{epoch + 1}/{cfg.epochs_per_task}, batch {b + 1}/{n_batches}")
+            _check_finite(loss, task_id, epoch, cfg.epochs_per_task, b, n_batches)
 
             for p in state.encoder.parameters():
                 p.grad = np.zeros_like(p.data)
@@ -300,9 +305,9 @@ def evaluate(state: TrainingState, test_images: List[Image],
     uses the most recent stored prototype per class; "history" uses every
     stored (task, class) prototype and predicts the class of the nearest one
     (the permuted-domain rule, where each task keeps its own coordinates).
-    With ``cfg.weighted_eval`` the old-class distances are weighted by the
-    stored log-variance (off by default: the weighting systematically
-    shrinks distances for high-variance classes at test time)."""
+    Distances are unweighted Euclidean, so the rule reads nothing from
+    ``cfg``: a log-variance weighting would systematically shrink distances
+    for high-variance classes at test time."""
     if prototype_scope not in ("latest", "history"):
         raise ValueError(f"unknown prototype_scope {prototype_scope!r}")
     if prototype_scope == "latest":
@@ -315,21 +320,11 @@ def evaluate(state: TrainingState, test_images: List[Image],
     for img in test_images:
         if img.label not in classes:
             raise ValueError(f"test label {img.label} has no stored prototype")
-    scfg = cfg.effective_sampling()
-    means = np.stack([p.mean.data for p in protos])
-    labels = [p.class_id for p in protos]
-    weights = np.ones_like(means)
-    if cfg.weighted_eval and scfg.weighted:
-        for i, p in enumerate(protos):
-            c = p.class_id
-            if state.classes_seen.get(c, state.current_task) < state.current_task:
-                weights[i] = np.exp(-0.5 * p.logvar.data)
-
     mean, _ = _encode_images(state.encoder, test_images)
     emb = mean.data
-    dists = np.stack([np.linalg.norm(w * (emb - m), axis=1)
-                      for w, m in zip(weights, means)], axis=1)    # (N, P)
-    preds = np.array(labels)[dists.argmin(axis=1)]
+    dists = np.stack([np.linalg.norm(emb - p.mean.data, axis=1) for p in protos],
+                     axis=1)                                        # (N, P)
+    preds = np.array([p.class_id for p in protos])[dists.argmin(axis=1)]
     truth = np.array([img.label for img in test_images])
     hit = preds == truth
     per_class = {c: np.count_nonzero(hit[truth == c]) / np.count_nonzero(truth == c)
@@ -402,9 +397,10 @@ def train_baseline(kind: str, dataset: Dataset, schedule: ProtocolSchedule,
                 params = grow_head(params, num_classes, seed=cfg.seed + spec.task_id)
         images = task_train_images(dataset, spec)
         batch = cfg.batch_per_class * len(spec.class_ids)
-        for _ in range(cfg.epochs_per_task):
+        starts = range(0, len(images), batch)
+        for epoch in range(cfg.epochs_per_task):
             order = rng.permutation(len(images))
-            for start in range(0, len(images), batch):
+            for b, start in enumerate(starts):
                 chunk = [images[i] for i in order[start:start + batch]]
                 pixels = np.stack([img.pixels for img in chunk])
                 labels = np.array([img.label for img in chunk])
@@ -424,6 +420,7 @@ def train_baseline(kind: str, dataset: Dataset, schedule: ProtocolSchedule,
                             term = ad.tsum(ad.square(ad.sub(cur, Tensor(prev))))
                             penalty = term if penalty is None else ad.add(penalty, term)
                     loss = ad.add(loss, ad.scale(penalty, l2_weight))
+                _check_finite(loss, spec.task_id, epoch, cfg.epochs_per_task, b, len(starts))
                 for p in params.parameters():
                     p.grad = np.zeros_like(p.data)
                 loss.backward()

@@ -120,6 +120,12 @@ def test_gradcheck_rejects_non_scalar():
     ("logsumexp", lambda x: ad.tsum(ad.logsumexp(x, axis=-1)), [(3, 4)]),
     ("stack", lambda a, b: ad.tsum(ad.square(ad.stack([a, b]))), [(4,), (4,)]),
     ("take_rows", lambda x: ad.tsum(ad.square(ad.take_rows(x, [2, 0, 2]))), [(3, 2)]),
+    # two overlapping reads, so the second backward adds onto the first's gradient
+    ("narrow", lambda x: ad.tsum(ad.square(ad.mul(ad.narrow(x, 1, 0, 3),
+                                                  ad.narrow(x, 1, 1, 3)))), [(3, 4)]),
+    ("take_class", lambda x: ad.tsum(ad.square(ad.mul(ad.take_class(x, [2, 0, 2]),
+                                                      ad.take_class(x, [1, 0, 3])))),
+     [(3, 2, 4)]),
 ])
 def test_gradcheck_per_op(name, f, shapes):
     rng = np.random.default_rng(hash(name) % 2**32)
@@ -142,6 +148,88 @@ def test_conv2d_gradient_vs_finite_differences():
                                                  ad.conv2d(a, b, padding=1))),
                      [x, w], epsilon=1e-5)
     assert err < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# conv2d and maxpool2x2 against the row-major im2col and argmax lowerings
+# they replaced, kept here as references
+
+def _conv2d_reference(x, w, p, g):
+    """Output of conv2d(x, w) and the gradients of sum(g * output)."""
+    B, ci, H, W = x.shape
+    co, _, k, _ = w.shape
+    ho, wo = H + 2 * p - k + 1, W + 2 * p - k + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B, ho * wo, ci * k * k)
+    wm = w.reshape(co, ci * k * k)
+    out = (cols @ wm.T).transpose(0, 2, 1).reshape(B, co, ho, wo)
+    gm = g.reshape(B, co, ho * wo).transpose(0, 2, 1)
+    gw = (gm.reshape(-1, co).T @ cols.reshape(-1, ci * k * k)).reshape(w.shape)
+    gcols = (gm @ wm).reshape(B, ho, wo, ci, k, k)
+    gxp = np.zeros(xp.shape)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i:i + ho, j:j + wo] += gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return out, gxp[:, :, p:p + H, p:p + W], gw
+
+
+def _maxpool2x2_reference(x, g):
+    """Output of maxpool2x2(x) and the gradient of sum(g * output)."""
+    B, C, H, W = x.shape
+    blocks = x.reshape(B, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 4, 3, 5) \
+        .reshape(B, C, H // 2, W // 2, 4)
+    idx = blocks.argmax(axis=-1)
+    out = np.take_along_axis(blocks, idx[..., None], axis=-1).squeeze(-1)
+    gb = np.zeros(blocks.shape)
+    np.put_along_axis(gb, idx[..., None], g[..., None], axis=-1)
+    gx = gb.reshape(B, C, H // 2, W // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+    return out, gx
+
+
+def _forward_backward(op, inputs, g):
+    """op's output and the input gradients of sum(g * op(*inputs))."""
+    tensors = [Tensor(a, requires_grad=True) for a in inputs]
+    out = op(*tensors)
+    ad.tsum(ad.mul(out, Tensor(g))).backward()
+    return [out.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("batch,cin,cout,size,pad", [
+    (1, 3, 20, 32, 2), (3, 3, 20, 32, 2),      # first reference layer
+    (1, 20, 50, 16, 2), (3, 20, 50, 16, 2),    # second reference layer
+    (2, 3, 4, 9, 0),
+])
+def test_conv2d_matches_row_major_reference(batch, cin, cout, size, pad):
+    rng = np.random.default_rng([batch, cin, pad])
+    x = rng.uniform(-1, 1, (batch, cin, size, size))
+    w = rng.uniform(-1, 1, (cout, cin, 5, 5)) / np.sqrt(cin * 25)
+    out_size = size + 2 * pad - 4
+    g = rng.uniform(-1, 1, (batch, cout, out_size, out_size))
+    got = _forward_backward(lambda a, b: ad.conv2d(a, b, padding=pad), [x, w], g)
+    for have, want in zip(got, _conv2d_reference(x, w, pad, g)):
+        assert have.shape == want.shape
+        np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
+
+
+def test_maxpool2x2_routes_ties_like_argmax_reference():
+    rng = np.random.default_rng(4)
+    # ReLU zeros tie the four corners of a block with no positive input;
+    # small integers tie 2 to 4 ways; the hand-made blocks tie away from the
+    # first corner: [[0, 1], [1, 0]], [[0, 0], [3, 3]], [[2, 2], [0, 2]]
+    relu_d = np.maximum(rng.standard_normal((3, 4, 8, 8)), 0.0)
+    late = np.array([[[[0.0, 1.0, 0.0, 0.0, 2.0, 2.0],
+                       [1.0, 0.0, 3.0, 3.0, 0.0, 2.0]]]])
+    small_ints = rng.integers(0, 3, (2, 3, 6, 6)).astype(float)
+    for x in (relu_d, late, small_ints):
+        g = rng.uniform(1, 2, (x.shape[0], x.shape[1], x.shape[2] // 2, x.shape[3] // 2))
+        got = _forward_backward(ad.maxpool2x2, [x], g)
+        for have, want in zip(got, _maxpool2x2_reference(x, g)):
+            assert np.array_equal(have, want)
+    # the reference routes the late ties to corners 1, 2 and 0
+    _, gx = _maxpool2x2_reference(late, np.ones((1, 1, 1, 3)))
+    assert gx.reshape(2, 3, 2).transpose(1, 0, 2).reshape(3, 4).tolist() == [
+        [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
 
 
 def test_backward_linearity():

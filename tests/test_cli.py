@@ -3,12 +3,13 @@
 import csv
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from protoreplay.cli import main
+from protoreplay.cli import _build_dataset, main
 
 
 def run_config(tmp_path, **overrides):
@@ -132,6 +133,24 @@ def test_unknown_dataset_kind_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 2
     assert "unknown dataset kind" in capsys.readouterr().err
+
+
+def test_idx_subset_that_drops_test_classes_exits_two(tmp_path, capsys):
+    # six 2x2 images; the first three train labels cover classes 0-2, the
+    # first three test labels only 0 and 1
+    images = tmp_path / "images.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 6, 2, 2) + bytes(range(24)))
+    dataset = {"kind": "idx", "train_images": str(images), "test_images": str(images)}
+    for split, labels in (("train", [0, 1, 2, 0, 1, 2]), ("test", [0, 0, 1, 1, 2, 2])):
+        path = tmp_path / f"{split}-labels.idx"
+        path.write_bytes(struct.pack(">II", 0x801, 6) + bytes(labels))
+        dataset[f"{split}_labels"] = str(path)
+    assert _build_dataset(dict(dataset)).num_classes == 3
+    cfg = run_config(tmp_path, dataset=dict(dataset, subset=3))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "no images of classes [2] within the first 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides, key", [

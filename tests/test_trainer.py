@@ -253,7 +253,7 @@ def test_evaluate_matches_per_image_loop():
     # the nearest-prototype rule, one test image at a time, as the reference
     ds = synthetic_blobs(4, 8, 8, 30, separation=1.0, seed=1)
     schedule = split_protocol(ds, incremental_class_plan(4, 2, 1, 8), seed=0)
-    cfg = small_cfg(epochs_per_task=2, weighted_eval=True)
+    cfg = small_cfg(epochs_per_task=2)
     _, state = run_continual(ds, schedule, small_arch(), 4, cfg)
     tests = ds.test
     for scope in ("latest", "history"):
@@ -264,12 +264,9 @@ def test_evaluate_matches_per_image_loop():
             protos = [state.memory.prototype_history[k]
                       for k in sorted(state.memory.prototype_history)]
         means = np.stack([p.mean.data for p in protos])
-        weights = np.stack([np.exp(-0.5 * p.logvar.data)
-                            if state.classes_seen[p.class_id] < state.current_task
-                            else np.ones(4) for p in protos])
         emb = encode_batch(state.encoder, np.stack([img.pixels for img in tests]))[0].data
-        preds = [protos[int(np.argmin(np.linalg.norm(weights * (e[None, :] - means),
-                                                     axis=1)))].class_id for e in emb]
+        preds = [protos[int(np.argmin(np.linalg.norm(e[None, :] - means, axis=1)))].class_id
+                 for e in emb]
         hits = [p == img.label for p, img in zip(preds, tests)]
         acc, per_class = evaluate(state, tests, cfg, prototype_scope=scope)
         assert 0.0 < acc < 1.0
@@ -306,6 +303,15 @@ def test_l2_penalty_slows_forgetting_versus_naive():
     # a strong penalty trades new-task plasticity for old-task retention
     assert l2.rows[-1][0] > naive.rows[-1][0]
     assert l2.rows[-1][-1] < naive.rows[-1][-1]
+
+
+def test_baseline_stops_on_non_finite_loss():
+    ds = synthetic_blobs(3, 8, 6, 4, separation=3.0, seed=0)
+    next(img for img in ds.train if img.label == 0).pixels[0, 0, 3] = np.nan
+    schedule = split_protocol(ds, incremental_class_plan(3, 2, 1, 6), seed=0)
+    with pytest.raises(FloatingPointError,
+                       match=r"non-finite loss nan at task 1, epoch 1/5, batch 1/1"):
+        train_baseline("sgd_naive", ds, schedule, small_arch(), small_cfg())
 
 
 def test_sgd_naive_forgets_more_than_ours():
