@@ -113,10 +113,6 @@ def _node(data: np.ndarray, parents, backward) -> Tensor:
     return out
 
 
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
 # ---------------------------------------------------------------------------
 # elementwise ops (with numpy broadcasting)
 

@@ -144,7 +144,6 @@ def _trainer_config(cfg: _Section) -> TrainerConfig:
         unweighted_distance=ablation.get("unweighted_distance", False),
         replay_order=ablation.get("replay_order", "forward"),
         recall=ablation.get("recall", "mean_and_var"),
-        old_proto_source=cfg.get("old_proto_source", "prev_task"),
     )
 
 
@@ -434,10 +433,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (UsageError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -58,9 +58,6 @@ class EncoderParams:
                 out.extend(wb)
         return out
 
-    def weight_count(self) -> int:
-        return param_count(self.layers)
-
 
 def _glorot(rng, shape, fan_in, fan_out) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))

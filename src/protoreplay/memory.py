@@ -17,6 +17,7 @@ Snapshot file layout (little-endian, for cross-implementation use):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -97,19 +98,24 @@ def store_prototypes(memory: EpisodicMemory, task_id: int,
     return memory
 
 
-def rebalance(memory: EpisodicMemory, classes_seen: int, rng) -> EpisodicMemory:
-    """Re-split the element budget evenly over classes and evict surplus
-    exemplars uniformly at random; every class always keeps at least one."""
-    if memory.budget_elements is None:
-        return memory
-    if not memory.exemplars:
-        return memory
-    elements_per_image = next(iter(memory.exemplars.values()))[0].elements
+def budget_quota(memory: EpisodicMemory, classes_seen: int, elements_per_image: int) -> int:
+    """Exemplars per class when the element budget is split evenly over
+    ``classes_seen`` classes; a budget that cannot hold one each raises."""
     quota = memory.budget_elements // (classes_seen * elements_per_image)
     if quota < 1:
         raise ValueError(
             f"budget of {memory.budget_elements} elements cannot hold one "
             f"{elements_per_image}-element exemplar for each of {classes_seen} classes")
+    return quota
+
+
+def rebalance(memory: EpisodicMemory, classes_seen: int, rng) -> EpisodicMemory:
+    """Re-split the element budget evenly over classes and evict surplus
+    exemplars uniformly at random; every class always keeps at least one."""
+    if memory.budget_elements is None or not memory.exemplars:
+        return memory
+    quota = budget_quota(memory, classes_seen,
+                         next(iter(memory.exemplars.values()))[0].elements)
     for c in sorted(memory.exemplars):
         imgs = memory.exemplars[c]
         if len(imgs) > quota:
@@ -168,24 +174,36 @@ def save_memory(memory: EpisodicMemory, path):
 
 def load_memory(path) -> EpisodicMemory:
     """Read a snapshot written by ``save_memory``. A file that is not one,
-    ends early, or has bytes after its last record raises ValueError."""
+    ends early, has bytes after its last record, or holds a size field out
+    of range raises ValueError. Sizes are checked against the bytes left in
+    the file before anything is read or allocated."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
         def read(n: int) -> bytes:
-            data = f.read(max(n, 0))
-            if len(data) != n:      # a short read, or a corrupt negative size
+            if n > size - f.tell():
                 raise ValueError(f"{path}: truncated or corrupt memory snapshot: "
-                                 f"{n} bytes wanted at offset {f.tell() - len(data)}")
-            return data
+                                 f"{n} bytes wanted at offset {f.tell()}, "
+                                 f"{size - f.tell()} left")
+            return f.read(n)
+
+        def check(what: str, values, least: int):
+            if min(values) < least:
+                raise ValueError(f"{path}: corrupt memory snapshot: {what} {values} "
+                                 f"before offset {f.tell()} must each be >= {least}")
 
         if f.read(8) != _MAGIC:
             raise ValueError(f"{path}: not a memory snapshot (bad magic)")
         latent, n_classes, n_protos, budget = struct.unpack("<4q", read(32))
+        check("latent size and counts", (latent, n_classes, n_protos), 0)
         memory = EpisodicMemory(budget_elements=None if budget < 0 else budget)
         for _ in range(n_classes):
             c, n_imgs = struct.unpack("<2q", read(16))
+            check("image count", (n_imgs,), 0)
             imgs = []
             for _ in range(n_imgs):
                 task, index, label, C, H, W = struct.unpack("<6q", read(48))
+                check("image shape", (C, H, W), 1)
                 pixels = np.frombuffer(read(C * H * W * 8), dtype="<f8") \
                     .reshape(C, H, W).astype(np.float64)
                 imgs.append(Image(pixels, label, task, index))

@@ -16,7 +16,7 @@ with queries in the order given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,7 +60,6 @@ class VariationalPrototype:
 @dataclass
 class LatentSample:
     values: Tensor
-    source: tuple = field(default=None)
 
 
 def _as_tensor(x) -> Tensor:
@@ -81,14 +80,13 @@ def compute_prototype(embeddings: Sequence[VariationalEmbedding],
     return VariationalPrototype(task_id, class_id, mean, logvar)
 
 
-def sample_latent(e, noise, source: tuple = None) -> LatentSample:
+def sample_latent(e, noise) -> LatentSample:
     """Reparameterized draw: mean + exp(0.5 * logvar) * noise."""
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != e.mean.data.shape:
         raise ad.ShapeError(
             f"sample_latent: noise shape {noise.shape} vs mean shape {e.mean.shape}")
-    return LatentSample(ad.add(e.mean, ad.mul(ad.exp(ad.scale(e.logvar, 0.5)), Tensor(noise))),
-                        source)
+    return LatentSample(ad.add(e.mean, ad.mul(ad.exp(ad.scale(e.logvar, 0.5)), Tensor(noise))))
 
 
 def weighted_distance(s1, s2, logvar=None) -> Tensor:

@@ -28,7 +28,6 @@ from .proto import (SamplingConfig, VariationalPrototype, logvar_match_loss,
 
 REPLAY_ORDERS = ("forward", "backward", "current_only")
 RECALL_MODES = ("mean_and_var", "mean_only", "var_only")
-OLD_PROTO_SOURCES = ("prev_task", "latest_all")
 
 
 @dataclass
@@ -45,13 +44,15 @@ class TrainerConfig:
     unweighted_distance: bool = False
     replay_order: str = "forward"
     recall: str = "mean_and_var"
-    old_proto_source: str = "prev_task"   # prev_task | latest_all
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.epochs_per_task < 1:
             raise ValueError("epochs_per_task must be >= 1")
+        if self.batch_per_class < 2:
+            raise ValueError("batch_per_class must be >= 2: each class batch is "
+                             "split into a support and a query part")
         if not 0.0 < self.support_fraction < 1.0:
             raise ValueError("support_fraction must lie in (0, 1)")
         if self.replay_weight < 0:
@@ -60,8 +61,6 @@ class TrainerConfig:
             raise ValueError(f"replay_order must be one of {REPLAY_ORDERS}")
         if self.recall not in RECALL_MODES:
             raise ValueError(f"recall must be one of {RECALL_MODES}")
-        if self.old_proto_source not in OLD_PROTO_SOURCES:
-            raise ValueError(f"old_proto_source must be one of {OLD_PROTO_SOURCES}")
 
     def effective_sampling(self) -> SamplingConfig:
         weighted = self.sampling.weighted and not self.unweighted_distance \
@@ -150,6 +149,14 @@ def _zeroed_logvars(protos: List[VariationalPrototype]) -> List[VariationalProto
             for p in protos]
 
 
+def _backing(memory: mem.EpisodicMemory, task_id: int, class_id: int,
+             protocol: str) -> List[Image]:
+    """The stored exemplars behind the (task, class) prototype; in the permuted-domain
+    setting only that task's, since their pixels carry its permutation."""
+    return [img for img in memory.exemplars.get(class_id, [])
+            if protocol != "incremental_domain" or img.task == task_id]
+
+
 def train_task(state: TrainingState, task_id: int, task_images: List[Image],
                cfg: TrainerConfig, protocol: str = "incremental_class") -> TrainingState:
     by_class: Dict[int, List[Image]] = {}
@@ -161,17 +168,18 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
         if repeated:
             raise ValueError(
                 f"incremental-class protocol: classes {repeated} repeat at task {task_id}")
+    classes_after = len(set(state.classes_seen) | set(new_classes))
+    quota = cfg.per_class_quota
+    if state.memory.budget_elements is not None:
+        quota = mem.budget_quota(state.memory, classes_after, task_images[0].elements)
     state.current_task = task_id
     scfg = cfg.effective_sampling()
     previous_tasks = sorted({t for (t, _) in state.memory.prototype_history})
 
     old_protos: List[VariationalPrototype] = []
     if protocol == "incremental_class" and previous_tasks:
-        if cfg.old_proto_source == "prev_task":
-            cands = state.memory.task_prototypes(task_id - 1)
-        else:
-            cands = list(state.memory.latest_prototypes().values())
-        old_protos = [p for p in cands if p.class_id not in by_class]
+        old_protos = [p for p in state.memory.task_prototypes(task_id - 1)
+                      if p.class_id not in by_class]
         if cfg.recall == "mean_only":
             old_protos = _zeroed_logvars(old_protos)
 
@@ -186,12 +194,7 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
             stored = state.memory.task_prototypes(t)
             rows = []
             for c in sorted({p.class_id for p in stored}):
-                for img in state.memory.exemplars.get(c, []):
-                    # In the permuted-domain setting an exemplar only
-                    # matches the prototypes of its own task (its
-                    # pixels carry that task's permutation).
-                    if protocol == "incremental_domain" and img.task != t:
-                        continue
+                for img in _backing(state.memory, t, c, protocol):
                     if id(img) not in row_of:
                         row_of[id(img)] = len(exemplars)
                         exemplars.append(img)
@@ -258,20 +261,17 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
     # new classes' prototypes come from the full task data. Old-class ones
     # are refreshed from the replayed exemplars; with replay disabled those
     # images never pass through the network, so the stored prototypes stay
-    # at their last coordinates.
+    # at their last coordinates. Class ids repeat across permuted-domain
+    # tasks, so there each previous task's (task, class) entry is replaced
+    # in place rather than re-stored under task_id.
     groups = [(task_id, c, by_class[c]) for c in new_classes]
-    if protocol == "incremental_class" and cfg.replay_weight > 0:
-        groups += [(task_id, c, state.memory.exemplars[c])
-                   for c in sorted(state.memory.exemplars) if c not in by_class]
-    if protocol == "incremental_domain" and cfg.replay_weight > 0:
-        # Each previous task's prototypes come from its own exemplars (class
-        # ids repeat across tasks here, so the (task, class) entry is
-        # replaced in place rather than re-stored under task_id).
-        for t in previous_tasks:
-            for c in sorted(state.memory.exemplars):
-                kept = [img for img in state.memory.exemplars[c] if img.task == t]
-                if kept:
-                    groups.append((t, c, kept))
+    if cfg.replay_weight > 0:
+        if protocol == "incremental_domain":
+            keys = [(t, c) for t in previous_tasks for c in sorted(state.memory.exemplars)]
+        else:
+            keys = [(task_id, c) for c in sorted(state.memory.exemplars) if c not in by_class]
+        groups += [(t, c, imgs) for t, c in keys
+                   if (imgs := _backing(state.memory, t, c, protocol))]
     mean, logvar = _encode_images(state.encoder,
                                   [img for _, _, imgs in groups for img in imgs])
     ends = np.cumsum([len(imgs) for _, _, imgs in groups])
@@ -283,14 +283,8 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
             state.memory.prototype_history[(p.task_id, p.class_id)] = VariationalPrototype(
                 p.task_id, p.class_id, p.mean.detach(), p.logvar.detach())
 
-    classes_after = set(state.classes_seen) | set(new_classes)
-    if cfg.budget_elements is not None:
-        elements = task_images[0].elements
-        quota = max(1, cfg.budget_elements // (len(classes_after) * elements))
-    else:
-        quota = cfg.per_class_quota
     mem.store_exemplars(state.memory, task_id, by_class, quota, state.rng)
-    mem.rebalance(state.memory, len(classes_after), state.rng)
+    mem.rebalance(state.memory, classes_after, state.rng)
 
     for c in new_classes:
         state.classes_seen.setdefault(c, task_id)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from protoreplay.autodiff import Tensor
 from protoreplay.data import Image
@@ -246,3 +248,40 @@ def test_load_rejects_truncated_and_trailing_bytes(tmp_path):
         bad.write_bytes(data + extra)
         with pytest.raises(ValueError, match="trailing"):
             load_memory(bad)
+
+
+def int64_field_offsets(mem, D=4):
+    """Byte offset of every int64 header and record field in the snapshot
+    ``save_memory`` writes for ``mem``, in file order."""
+    offsets, pos = [8, 16, 24, 32], 40
+    for c in sorted(mem.exemplars):
+        offsets += [pos, pos + 8]
+        pos += 16
+        for img in mem.exemplars[c]:
+            offsets += [pos + 8 * i for i in range(6)]
+            pos += 48 + 8 * img.elements
+    for _ in mem.prototype_history:
+        offsets += [pos, pos + 8]
+        pos += 16 + 16 * D
+    return offsets, pos
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.integers(0, 43), bit=st.integers(0, 63))
+@example(field=9, bit=62)       # the first image's C: a raw OverflowError once
+@example(field=9, bit=40)       # the same field: a raw MemoryError once
+@example(field=9, bit=63)       # a negative C
+def test_load_rejects_or_reads_any_bit_flip_in_an_int_field(tmp_path, field, bit):
+    mem, path = saved_memory(tmp_path)
+    data = bytearray(path.read_bytes())
+    offsets, end = int64_field_offsets(mem)
+    assert (len(offsets), end) == (44, len(data))
+    pos = offsets[field] + bit // 8
+    data[pos] ^= 1 << (bit % 8)
+    bad = tmp_path / "flipped.bin"
+    bad.write_bytes(bytes(data))
+    try:
+        load_memory(bad)
+    except ValueError as err:
+        assert str(bad) in str(err)

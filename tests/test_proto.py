@@ -174,6 +174,36 @@ def test_posterior_rows_sum_to_one(C, Z, D, tau, seed):
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
 
 
+def test_weighted_posterior_matches_brute_force_loop():
+    # class c's squared distance is weighted by exp(-logvar_c) when it has
+    # an entry in ``weights``; class 1 has none and stays unweighted
+    rng = np.random.default_rng(11)
+    Z, D, tau = 3, 4, 0.7
+    queries = [rng.uniform(-1, 1, D) for _ in range(Z)]
+    protos = {c: [rng.uniform(-1, 1, D) for _ in range(Z)] for c in range(3)}
+    logvars = {0: rng.uniform(-2, 2, D), 1: np.zeros(D), 2: rng.uniform(-2, 2, D)}
+    weights = {0: logvars[0], 2: Tensor(logvars[2])}
+    args = ([sampled(q) for q in queries],
+            {c: [sampled(s) for s in ss] for c, ss in protos.items()})
+    probs, ids = class_posterior(*args, weights, SamplingConfig(Z=Z, tau=tau, D=D))
+    assert ids == [0, 1, 2]
+    expected = np.empty((Z, 3))
+    for z in range(Z):
+        logits = []
+        for c in range(3):
+            d2 = sum(np.exp(-logvars[c][d]) * (queries[z][d] - protos[c][z][d]) ** 2
+                     for d in range(D))
+            logits.append(-np.sqrt(d2) / tau)
+        e = np.exp(np.array(logits) - max(logits))
+        expected[z] = e / e.sum()
+    assert np.max(np.abs(probs - expected)) < 1e-12
+
+    unweighted = SamplingConfig(Z=Z, tau=tau, D=D, weighted=False)
+    ignored, _ = class_posterior(*args, weights, unweighted)
+    assert np.array_equal(ignored, class_posterior(*args, None, unweighted)[0])
+    assert np.max(np.abs(ignored - probs)) > 1e-3
+
+
 def test_posterior_translation_invariance():
     rng = np.random.default_rng(7)
     cfg = SamplingConfig(Z=2, tau=1.3, D=3)

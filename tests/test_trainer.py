@@ -87,7 +87,7 @@ def test_trainer_config_validation():
     for bad in [dict(learning_rate=0.0), dict(epochs_per_task=0),
                 dict(support_fraction=1.0), dict(replay_weight=-1.0),
                 dict(replay_order="random"), dict(recall="proto_only"),
-                dict(old_proto_source="bogus")]:
+                dict(batch_per_class=1), dict(batch_per_class=0)]:
         with pytest.raises(ValueError):
             small_cfg(**bad)
 
@@ -163,6 +163,54 @@ def test_train_task_stops_on_non_finite_loss():
     with pytest.raises(FloatingPointError,
                        match=r"non-finite loss nan at task 1, epoch 1/5, batch 1/1"):
         train_task(state, 1, imgs, cfg)
+
+
+def test_budget_too_small_fails_before_the_task_changes_anything():
+    # 4-element images under a 10-element budget: two classes fit one
+    # exemplar each, four do not
+    ds = synthetic_blobs(4, 4, 6, 2, separation=3.0, seed=0)
+    cfg = small_cfg(budget_elements=10)
+    state = make_state(init_encoder(small_arch(input_dim=4), latent_dim=4, seed=0), cfg)
+    train_task(state, 1, [img for img in ds.train if img.label < 2], cfg)
+
+    def snapshot():
+        return ({c: [id(img) for img in imgs] for c, imgs in state.memory.exemplars.items()},
+                {k: (p.mean.data.tobytes(), p.logvar.data.tobytes())
+                 for k, p in state.memory.prototype_history.items()},
+                dict(state.classes_seen),
+                [t.data.tobytes() for t in state.encoder.parameters()])
+
+    before = snapshot()
+    with pytest.raises(ValueError, match="budget of 10 elements"):
+        train_task(state, 2, [img for img in ds.train if img.label >= 2], cfg)
+    assert snapshot() == before
+    assert state.memory.exemplar_elements() == 8
+
+
+def test_trailing_single_image_chunk_is_skipped(monkeypatch):
+    # 11 and 6 images at batch_per_class=10: batch 1 holds both classes;
+    # batch 2 holds only class 0's one leftover image, which cannot be split
+    # into support and query, so the batch is skipped without encoding it.
+    import protoreplay.trainer as trainer
+    ds = synthetic_blobs(2, 8, 11, 1, separation=3.0, seed=0)
+    imgs = [img for img in ds.train if img.label == 0 or img.index < 6]
+    cfg = small_cfg(epochs_per_task=2, batch_per_class=10)
+    state = make_state(init_encoder(small_arch(), latent_dim=4, seed=0), cfg)
+    events = []
+    encode_batch, sgd = trainer.encode_batch, trainer.sgd_step
+
+    def spy_encode(params, pixels):
+        events.append(len(pixels))
+        return encode_batch(params, pixels)
+
+    def spy_sgd(params, lr):
+        events.append("step")
+        return sgd(params, lr)
+
+    monkeypatch.setattr(trainer, "encode_batch", spy_encode)
+    monkeypatch.setattr(trainer, "sgd_step", spy_sgd)
+    train_task(state, 1, imgs, cfg)
+    assert events == [16, "step", 16, "step", 17]
 
 
 def test_one_encoder_pass_per_step_and_per_task_end(monkeypatch):
