@@ -2,7 +2,7 @@
 
 from .autodiff import Tensor, ShapeError, forward_op, grad_check
 from .proto import (SamplingConfig, VariationalEmbedding, VariationalPrototype,
-                    LatentSample, compute_prototype, sample_latent,
+                    LatentSample, batch_prototype, compute_prototype, sample_latent,
                     weighted_distance, class_posterior, classification_loss,
                     replay_loss)
 from .encoder import (LayerSpec, EncoderParams, encode, init_encoder,

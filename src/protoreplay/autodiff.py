@@ -3,8 +3,9 @@
 Each operation builds a node that remembers its parents and a backward
 closure; calling ``backward()`` on a scalar output walks the graph in
 reverse topological order and accumulates gradients additively into every
-leaf that has ``requires_grad`` set. The op set is intentionally small:
-just enough for a convolutional / fully-connected encoder and the
+leaf that has ``requires_grad`` set; an interior node's gradient is freed as
+soon as it has been passed on to its parents. The op set is intentionally
+small: just enough for a convolutional / fully-connected encoder and the
 distance-softmax losses built on top of it.
 """
 
@@ -83,6 +84,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -31,7 +31,8 @@ from .data import (Dataset, incremental_class_plan, load_idx, permuted_protocol,
                    split_protocol, synthetic_blobs, task_train_images)
 from .encoder import init_encoder, param_count, reference_architecture, baseline_head
 from .memory import EpisodicMemory, memory_footprint, save_memory
-from .proto import SamplingConfig, VariationalPrototype, mixed_classification_loss
+from .proto import (SamplingConfig, VariationalPrototype, batch_prototype,
+                    mixed_classification_loss)
 from .trainer import TrainerConfig, run_continual, _encode_images
 
 
@@ -370,9 +371,7 @@ def cmd_gradcheck(args) -> int:
     for name, support, queries, frozen, seed in cases:
         def loss(*weights):
             mean, logvar = encode_batch(params, pixels)
-            online = [VariationalPrototype(1, c, ad.mean_over_axis(ad.take_rows(mean, [i]), 0),
-                                           ad.mean_over_axis(ad.take_rows(logvar, [i]), 0))
-                      for c, i in support]
+            online = [batch_prototype(1, c, mean, logvar, [i]) for c, i in support]
             rows = [i for _, i in queries]
             return mixed_classification_loss(
                 ad.take_rows(mean, rows), ad.take_rows(logvar, rows), [c for c, _ in queries],

@@ -174,9 +174,10 @@ def save_memory(memory: EpisodicMemory, path):
 
 def load_memory(path) -> EpisodicMemory:
     """Read a snapshot written by ``save_memory``. A file that is not one,
-    ends early, has bytes after its last record, or holds a size field out
-    of range raises ValueError. Sizes are checked against the bytes left in
-    the file before anything is read or allocated."""
+    ends early, has bytes after its last record, holds a size field out of
+    range, or repeats a class id or a (task, class) key raises ValueError.
+    Sizes are checked against the bytes left in the file before anything is
+    read or allocated."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
@@ -200,6 +201,8 @@ def load_memory(path) -> EpisodicMemory:
         for _ in range(n_classes):
             c, n_imgs = struct.unpack("<2q", read(16))
             check("image count", (n_imgs,), 0)
+            if c in memory.exemplars:
+                raise ValueError(f"{path}: corrupt memory snapshot: duplicate class id {c}")
             imgs = []
             for _ in range(n_imgs):
                 task, index, label, C, H, W = struct.unpack("<6q", read(48))
@@ -210,6 +213,9 @@ def load_memory(path) -> EpisodicMemory:
             memory.exemplars[c] = imgs
         for _ in range(n_protos):
             t, c = struct.unpack("<2q", read(16))
+            if (t, c) in memory.prototype_history:
+                raise ValueError(f"{path}: corrupt memory snapshot: duplicate "
+                                 f"(task, class) key {(t, c)}")
             mean = np.frombuffer(read(latent * 8), dtype="<f8").astype(np.float64)
             logvar = np.frombuffer(read(latent * 8), dtype="<f8").astype(np.float64)
             memory.prototype_history[(t, c)] = VariationalPrototype(

@@ -70,14 +70,22 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
+def batch_prototype(task_id: int, class_id: int, mean: Tensor, logvar: Tensor,
+                    rows) -> VariationalPrototype:
+    """Average the given rows of an encoded (N, D) batch's means and
+    log-variances elementwise (differentiable)."""
+    return VariationalPrototype(task_id, class_id,
+                                ad.mean_over_axis(ad.take_rows(mean, rows), axis=0),
+                                ad.mean_over_axis(ad.take_rows(logvar, rows), axis=0))
+
+
 def compute_prototype(embeddings: Sequence[VariationalEmbedding],
                       task_id: int, class_id: int) -> VariationalPrototype:
     """Average member means and log-variances elementwise (differentiable)."""
     if not embeddings:
         raise ValueError("compute_prototype: empty embedding list")
-    mean = ad.mean_over_axis(ad.stack([e.mean for e in embeddings]), axis=0)
-    logvar = ad.mean_over_axis(ad.stack([e.logvar for e in embeddings]), axis=0)
-    return VariationalPrototype(task_id, class_id, mean, logvar)
+    return batch_prototype(task_id, class_id, ad.stack([e.mean for e in embeddings]),
+                           ad.stack([e.logvar for e in embeddings]), range(len(embeddings)))
 
 
 def sample_latent(e, noise) -> LatentSample:

@@ -21,10 +21,10 @@ from . import memory as mem
 from .analysis import AccuracyMatrix
 from .autodiff import Tensor
 from .data import Dataset, Image, ProtocolSchedule, task_test_images, task_train_images
-from .encoder import (EncoderParams, baseline_head, encode_batch, grow_head,
+from .encoder import (EncoderParams, baseline_head, encode_batch, forward, grow_head,
                       init_encoder)
-from .proto import (SamplingConfig, VariationalPrototype, logvar_match_loss,
-                    mixed_classification_loss)
+from .proto import (SamplingConfig, VariationalPrototype, batch_prototype,
+                    logvar_match_loss, mixed_classification_loss)
 
 REPLAY_ORDERS = ("forward", "backward", "current_only")
 RECALL_MODES = ("mean_and_var", "mean_only", "var_only")
@@ -102,15 +102,6 @@ def split_support_query(class_batch: List[Image], support_fraction: float,
     return support, query
 
 
-def _check_finite(loss: Tensor, task_id: int, epoch: int, epochs: int,
-                  batch: int, batches: int):
-    """Stop the run on a non-finite step loss, naming where it happened."""
-    if not np.isfinite(loss.item()):
-        raise FloatingPointError(
-            f"non-finite loss {loss.item()} at task {task_id}, epoch "
-            f"{epoch + 1}/{epochs}, batch {batch + 1}/{batches}")
-
-
 def sgd_step(params: EncoderParams, learning_rate: float):
     """w <- w - lr * grad on every parameter, then clear gradients."""
     tensors = params.parameters()
@@ -122,17 +113,27 @@ def sgd_step(params: EncoderParams, learning_rate: float):
         t.grad = None
 
 
+def _sgd_update(params: EncoderParams, loss: Tensor, learning_rate: float,
+                task_id: int, epoch: int, epochs: int, batch: int, batches: int):
+    """One SGD step on ``loss``. A non-finite loss or gradient stops the run,
+    naming where it happened, before any parameter moves."""
+    where = f"task {task_id}, epoch {epoch + 1}/{epochs}, batch {batch + 1}/{batches}"
+    if not np.isfinite(loss.item()):
+        raise FloatingPointError(f"non-finite loss {loss.item()} at {where}")
+    tensors = params.parameters()
+    for p in tensors:
+        p.grad = np.zeros_like(p.data)
+    loss.backward()
+    for i, p in enumerate(tensors):
+        if not np.isfinite(p.grad).all():
+            raise FloatingPointError(f"non-finite gradient in parameter {i} "
+                                     f"(shape {p.shape}) at {where}")
+    sgd_step(params, learning_rate)
+
+
 def _encode_images(params: EncoderParams, images: List[Image]):
     pixels = np.stack([img.pixels for img in images])
     return encode_batch(params, pixels)
-
-
-def _prototype(task_id: int, class_id: int, mean: Tensor, logvar: Tensor,
-               rows) -> VariationalPrototype:
-    """Average of the given rows of an encoded batch (differentiable)."""
-    return VariationalPrototype(task_id, class_id,
-                                ad.mean_over_axis(ad.take_rows(mean, rows), axis=0),
-                                ad.mean_over_axis(ad.take_rows(logvar, rows), axis=0))
 
 
 def _replay_task_order(previous_tasks: List[int], order: str) -> List[int]:
@@ -159,6 +160,9 @@ def _backing(memory: mem.EpisodicMemory, task_id: int, class_id: int,
 
 def train_task(state: TrainingState, task_id: int, task_images: List[Image],
                cfg: TrainerConfig, protocol: str = "incremental_class") -> TrainingState:
+    if cfg.sampling.D != state.encoder.latent_dim:
+        raise ValueError(f"sampling D = {cfg.sampling.D} differs from the encoder's "
+                         f"latent width {state.encoder.latent_dim}")
     by_class: Dict[int, List[Image]] = {}
     for img in task_images:
         by_class.setdefault(img.label, []).append(img)
@@ -232,7 +236,7 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
                 continue
             mean, logvar = _encode_images(state.encoder, images + exemplars)
 
-            online = [_prototype(task_id, c, mean, logvar, s) for c, s, _ in splits]
+            online = [batch_prototype(task_id, c, mean, logvar, s) for c, s, _ in splits]
             rows = [r for _, _, q in splits for r in q]
             labels = [c for c, _, q in splits for _ in q]
             loss = mixed_classification_loss(ad.take_rows(mean, rows),
@@ -250,12 +254,8 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
                 replay_sum = term if replay_sum is None else ad.add(replay_sum, term)
             if replay_sum is not None:
                 loss = ad.add(loss, ad.scale(replay_sum, cfg.replay_weight))
-            _check_finite(loss, task_id, epoch, cfg.epochs_per_task, b, n_batches)
-
-            for p in state.encoder.parameters():
-                p.grad = np.zeros_like(p.data)
-            loss.backward()
-            sgd_step(state.encoder, cfg.learning_rate)
+            _sgd_update(state.encoder, loss, cfg.learning_rate, task_id,
+                        epoch, cfg.epochs_per_task, b, n_batches)
 
     # End of task: freeze prototypes, all groups from one encoder pass. The
     # new classes' prototypes come from the full task data. Old-class ones
@@ -275,7 +275,7 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
     mean, logvar = _encode_images(state.encoder,
                                   [img for _, _, imgs in groups for img in imgs])
     ends = np.cumsum([len(imgs) for _, _, imgs in groups])
-    protos = [_prototype(t, c, mean, logvar, range(end - len(imgs), end))
+    protos = [batch_prototype(t, c, mean, logvar, range(end - len(imgs), end))
               for (t, c, imgs), end in zip(groups, ends)]
     mem.store_prototypes(state.memory, task_id, [p for p in protos if p.task_id == task_id])
     for p in protos:
@@ -356,7 +356,6 @@ def _softmax_ce_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def _baseline_eval(params: EncoderParams, test_images: List[Image]) -> float:
-    from .encoder import forward
     pixels = np.stack([img.pixels for img in test_images])
     logits = forward(params, Tensor(pixels)).data
     preds = logits.argmax(axis=1)
@@ -379,48 +378,34 @@ def train_baseline(kind: str, dataset: Dataset, schedule: ProtocolSchedule,
     num_classes = len(schedule.tasks[0].class_ids)
     layers = baseline_head(encoder_layers, num_classes)
     params = init_encoder(layers, latent_dim=0, seed=cfg.seed)
-    prev_snapshot = None
+    anchor = None           # previous task's parameters, aligned with parameters()
     matrix = AccuracyMatrix()
-    from .encoder import forward
 
     for spec in schedule.tasks:
-        if schedule.kind == "incremental_class":
-            needed = max(max(spec.class_ids) + 1, num_classes)
-            if needed > num_classes:
-                num_classes = needed
-                params = grow_head(params, num_classes, seed=cfg.seed + spec.task_id)
+        if max(spec.class_ids) >= num_classes:
+            num_classes = max(spec.class_ids) + 1
+            params = grow_head(params, num_classes, seed=cfg.seed + spec.task_id)
         images = task_train_images(dataset, spec)
+        pixels = np.stack([img.pixels for img in images])
+        labels = np.array([img.label for img in images])
         batch = cfg.batch_per_class * len(spec.class_ids)
         starts = range(0, len(images), batch)
         for epoch in range(cfg.epochs_per_task):
             order = rng.permutation(len(images))
             for b, start in enumerate(starts):
-                chunk = [images[i] for i in order[start:start + batch]]
-                pixels = np.stack([img.pixels for img in chunk])
-                labels = np.array([img.label for img in chunk])
-                logits = forward(params, Tensor(pixels))
-                loss = _softmax_ce_logits(logits, labels)
-                if kind == "l2" and prev_snapshot is not None and l2_weight > 0:
+                rows = order[start:start + batch]
+                loss = _softmax_ce_logits(forward(params, Tensor(pixels[rows])), labels[rows])
+                if kind == "l2" and anchor is not None and l2_weight > 0:
                     penalty = None
-                    for wb, prev_wb in zip(params.weights, prev_snapshot):
-                        if wb is None or prev_wb is None:
-                            continue
-                        for t, prev in zip(wb, prev_wb):
-                            cur = t
-                            for axis, (n_now, n_old) in enumerate(
-                                    zip(t.data.shape, prev.shape)):
-                                if n_now != n_old:
-                                    cur = ad.narrow(cur, axis, 0, n_old)
-                            term = ad.tsum(ad.square(ad.sub(cur, Tensor(prev))))
-                            penalty = term if penalty is None else ad.add(penalty, term)
+                    for p, prev in zip(params.parameters(), anchor):
+                        # only the head grows, and only on its class axis
+                        cur = p if p.shape == prev.shape else ad.narrow(p, -1, 0, prev.shape[-1])
+                        term = ad.tsum(ad.square(ad.sub(cur, Tensor(prev))))
+                        penalty = term if penalty is None else ad.add(penalty, term)
                     loss = ad.add(loss, ad.scale(penalty, l2_weight))
-                _check_finite(loss, spec.task_id, epoch, cfg.epochs_per_task, b, len(starts))
-                for p in params.parameters():
-                    p.grad = np.zeros_like(p.data)
-                loss.backward()
-                sgd_step(params, cfg.learning_rate)
-        prev_snapshot = [None if wb is None else tuple(t.data.copy() for t in wb)
-                         for wb in params.weights]
+                _sgd_update(params, loss, cfg.learning_rate, spec.task_id,
+                            epoch, cfg.epochs_per_task, b, len(starts))
+        anchor = [p.data.copy() for p in params.parameters()]
         row = [_baseline_eval(params, task_test_images(dataset, past))
                for past in schedule.tasks[:spec.task_id]]
         matrix.add_row(row)

@@ -105,6 +105,13 @@ def test_encode_rejects_shape_mismatch():
         encode(params, Image(np.zeros((1, 1, 9)), 0))
 
 
+def test_encode_batch_rejects_output_width_other_than_2d():
+    # the network ends in 2 * 2 = 4 outputs but is told D = 3
+    params = init_encoder(small_layers(D=2), latent_dim=3, seed=0)
+    with pytest.raises(ad.ShapeError, match=r"encoder output width 4 != 2\*D = 6"):
+        encode_batch(params, np.zeros((2, 1, 1, 6)))
+
+
 def test_logvar_clamped_to_bound():
     params = init_encoder(small_layers(), latent_dim=2, seed=6)
     # inflate the final layer so raw outputs exceed the bound

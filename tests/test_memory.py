@@ -285,3 +285,19 @@ def test_load_rejects_or_reads_any_bit_flip_in_an_int_field(tmp_path, field, bit
         load_memory(bad)
     except ValueError as err:
         assert str(bad) in str(err)
+
+
+@pytest.mark.parametrize("field,what", [
+    (41, r"duplicate \(task, class\) key \(1, 0\)"),   # prototype (1, 1) becomes (1, 0)
+    (24, r"duplicate class id 0"),                     # the second class id becomes 0
+])
+def test_load_rejects_a_repeated_key(tmp_path, field, what):
+    mem, path = saved_memory(tmp_path)
+    data = bytearray(path.read_bytes())
+    offsets, _ = int64_field_offsets(mem)
+    data[offsets[field]] ^= 1
+    bad = tmp_path / "repeated.bin"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=what) as err:
+        load_memory(bad)
+    assert str(bad) in str(err.value)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import protoreplay.autodiff as ad
+from protoreplay import trainer
 from protoreplay.autodiff import Tensor
 from protoreplay.data import (Image, incremental_class_plan, permuted_protocol,
                               split_protocol, synthetic_blobs,
@@ -163,6 +165,40 @@ def test_train_task_stops_on_non_finite_loss():
     with pytest.raises(FloatingPointError,
                        match=r"non-finite loss nan at task 1, epoch 1/5, batch 1/1"):
         train_task(state, 1, imgs, cfg)
+
+
+def _inf_in_backward(loss_fn):
+    """``loss_fn`` plus a zero-valued node whose backward sends inf into the loss."""
+    def patched(*args, **kwargs):
+        loss = loss_fn(*args, **kwargs)
+
+        def backward(g):
+            ad._accumulate(loss, np.full_like(loss.data, np.inf))
+        return ad.add(loss, ad._node(np.zeros_like(loss.data), (loss,), backward))
+    return patched
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_task_stops_on_non_finite_gradient(monkeypatch):
+    monkeypatch.setattr(trainer, "mixed_classification_loss",
+                        _inf_in_backward(trainer.mixed_classification_loss))
+    ds = synthetic_blobs(2, 8, 6, 4, 2.0, seed=0)
+    cfg = small_cfg()
+    state = make_state(init_encoder(small_arch(), latent_dim=4, seed=0), cfg)
+    before = [p.data.copy() for p in state.encoder.parameters()]
+    with pytest.raises(FloatingPointError, match=r"non-finite gradient in parameter 0 "
+                       r"\(shape \(8, 64\)\) at task 1, epoch 1/5, batch 1/1"):
+        train_task(state, 1, list(ds.train), cfg)
+    assert all(np.array_equal(p.data, b)
+               for p, b in zip(state.encoder.parameters(), before))
+
+
+def test_train_task_rejects_sampling_width_other_than_encoder_latent():
+    cfg = small_cfg(sampling=SamplingConfig(Z=5, tau=1.0, D=500))
+    state = make_state(init_encoder(small_arch(latent_dim=16), latent_dim=16, seed=0), cfg)
+    ds = synthetic_blobs(2, 8, 6, 4, 2.0, seed=0)
+    with pytest.raises(ValueError, match=r"D = 500 .* latent width 16"):
+        train_task(state, 1, list(ds.train), cfg)
 
 
 def test_budget_too_small_fails_before_the_task_changes_anything():
@@ -359,6 +395,17 @@ def test_baseline_stops_on_non_finite_loss():
     schedule = split_protocol(ds, incremental_class_plan(3, 2, 1, 6), seed=0)
     with pytest.raises(FloatingPointError,
                        match=r"non-finite loss nan at task 1, epoch 1/5, batch 1/1"):
+        train_baseline("sgd_naive", ds, schedule, small_arch(), small_cfg())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_baseline_stops_on_non_finite_gradient(monkeypatch):
+    monkeypatch.setattr(trainer, "_softmax_ce_logits",
+                        _inf_in_backward(trainer._softmax_ce_logits))
+    ds = synthetic_blobs(3, 8, 6, 4, separation=3.0, seed=0)
+    schedule = split_protocol(ds, incremental_class_plan(3, 2, 1, 6), seed=0)
+    with pytest.raises(FloatingPointError, match=r"non-finite gradient in parameter 0 "
+                       r"\(shape \(8, 64\)\) at task 1, epoch 1/5, batch 1/1"):
         train_baseline("sgd_naive", ds, schedule, small_arch(), small_cfg())
 
 
