@@ -18,6 +18,25 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 
+def write_csv(path, header, rows):
+    """Write ``header`` (unless None), then ``rows``. Integers are written as
+    they are and every other number as ``repr(float(v))``, so the file reads
+    back bit for bit."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, (int, np.integer)) else repr(float(v))
+                             for v in row])
+
+
+def read_csv(path) -> List[List[str]]:
+    """Every row of a CSV file, as strings."""
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
 @dataclass
 class AccuracyMatrix:
     rows: List[List[float]] = field(default_factory=list)
@@ -37,20 +56,14 @@ class AccuracyMatrix:
         self.rows.append([float(a) for a in accuracies])
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow([f"task_{j + 1}" for j in range(self.num_tasks)])
-            for row in self.rows:
-                writer.writerow([repr(a) for a in row])
+        write_csv(path, [f"task_{j + 1}" for j in range(self.num_tasks)], self.rows)
 
     @classmethod
     def from_csv(cls, path) -> "AccuracyMatrix":
         matrix = cls()
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            next(reader)  # header
-            for row in reader:
-                matrix.add_row([float(v) for v in row if v != ""])
+        _, *rows = read_csv(path)
+        for row in rows:
+            matrix.add_row([float(v) for v in row if v != ""])
         return matrix
 
 
@@ -111,22 +124,16 @@ class PrototypeHistoryLog:
         return out
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            D = self.records[0][2].size if self.records else 0
-            writer.writerow(["task_id", "class_id"] + [f"m{i}" for i in range(D)])
-            for t, c, m in self.records:
-                writer.writerow([t, c] + [repr(float(v)) for v in m])
+        D = self.records[0][2].size if self.records else 0
+        write_csv(path, ["task_id", "class_id"] + [f"m{i}" for i in range(D)],
+                  [[t, c, *m] for t, c, m in self.records])
 
     @classmethod
     def from_csv(cls, path) -> "PrototypeHistoryLog":
         log = cls()
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            next(reader)
-            for row in reader:
-                log.add(int(row[0]), int(row[1]),
-                        np.array([float(v) for v in row[2:]]))
+        _, *rows = read_csv(path)
+        for row in rows:
+            log.add(int(row[0]), int(row[1]), np.array([float(v) for v in row[2:]]))
         return log
 
 

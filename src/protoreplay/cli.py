@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 assertion failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .analysis import (AccuracyMatrix, PrototypeHistoryLog, motion_similarity,
-                       pca_fit, prototype_trajectories, summarize)
+                       pca_fit, prototype_trajectories, read_csv, summarize, write_csv)
 from .autodiff import Tensor, grad_check
 from .data import (Dataset, incremental_class_plan, load_idx, permuted_protocol,
                    split_protocol, synthetic_blobs, task_train_images)
@@ -129,30 +128,17 @@ class _Section(dict):
 
 
 def _trainer_config(cfg: _Section) -> TrainerConfig:
-    ablation = cfg.section("ablation")
-    sampling = SamplingConfig(Z=cfg.get("samples", 50), tau=cfg.get("tau", 1.0),
-                              D=cfg.get("latent_dim", 500))
+    """The run's TrainerConfig from the keys the config sets; the dataclasses
+    hold every default."""
+    def given(section, keys, fields=None):
+        return {f: section[k] for k, f in zip(keys, fields or keys) if k in section}
+
     return TrainerConfig(
-        sampling=sampling,
-        learning_rate=cfg.get("learning_rate", 0.05),
-        epochs_per_task=cfg.get("epochs_per_task", 20),
-        batch_per_class=cfg.get("batch_per_class", 10),
-        support_fraction=cfg.get("support_fraction", 0.5),
-        replay_weight=cfg.get("replay_weight", 1.0),
-        seed=cfg.get("seed", 0),
-        per_class_quota=cfg.get("per_class_quota", 1),
-        budget_elements=cfg.get("budget_elements"),
-        unweighted_distance=ablation.get("unweighted_distance", False),
-        replay_order=ablation.get("replay_order", "forward"),
-        recall=ablation.get("recall", "mean_and_var"),
-    )
-
-
-def _architecture(cfg: dict, dataset: Dataset):
-    arch = cfg.get("architecture", "synthetic_vector")
-    D = cfg.get("latent_dim", 500)
-    input_dim = dataset.train[0].pixels.size
-    return reference_architecture(arch, latent_dim=D, input_dim=input_dim), D
+        SamplingConfig(**given(cfg, ("samples", "tau", "latent_dim"), ("Z", "tau", "D"))),
+        **given(cfg, ("learning_rate", "epochs_per_task", "batch_per_class",
+                      "support_fraction", "replay_weight", "seed", "per_class_quota",
+                      "budget_elements")),
+        **given(cfg.section("ablation"), ("unweighted_distance", "replay_order", "recall")))
 
 
 def _save_encoder(params, path):
@@ -176,9 +162,10 @@ def cmd_run(args) -> int:
     tcfg = _trainer_config(cfg)
     dataset = _build_dataset(cfg.section("dataset"))
     schedule = _build_schedule(cfg.get("protocol", "incremental_class"),
-                               cfg.section("schedule"), dataset,
-                               cfg.get("seed", 0))
-    layers, D = _architecture(cfg, dataset)
+                               cfg.section("schedule"), dataset, tcfg.seed)
+    D = tcfg.sampling.D
+    layers = reference_architecture(cfg.get("architecture", "synthetic_vector"),
+                                    latent_dim=D, input_dim=dataset.train[0].pixels.size)
     cfg.check_read()
     os.makedirs(args.out, exist_ok=True)
 
@@ -197,11 +184,8 @@ def cmd_run(args) -> int:
     # basis source for the dynamics subcommand
     task1 = task_train_images(dataset, schedule.tasks[0])
     mean, _ = _encode_images(state.encoder, task1)
-    with open(os.path.join(args.out, "task1_latents.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"m{i}" for i in range(mean.data.shape[1])])
-        for row in mean.data:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(os.path.join(args.out, "task1_latents.csv"),
+              [f"m{i}" for i in range(mean.data.shape[1])], mean.data)
 
     _save_encoder(state.encoder, os.path.join(args.out, "encoder.npz"))
     save_memory(state.memory, os.path.join(args.out, "memory.bin"))
@@ -209,7 +193,7 @@ def cmd_run(args) -> int:
     report = memory_footprint(state.encoder, state.memory, "ours")
     manifest = {
         "config": cfg,
-        "seed": cfg.get("seed", 0),
+        "seed": tcfg.seed,
         "wall_time_seconds": wall,
         "footprint": {
             "network_params": report.network_params,
@@ -270,8 +254,7 @@ def cmd_footprint(args) -> int:
 
 
 def _read_matrix_csv(path) -> np.ndarray:
-    with open(path, newline="") as f:
-        rows = [r for r in csv.reader(f) if r]
+    rows = [r for r in read_csv(path) if r]
     try:
         float(rows[0][0])
         data = rows
@@ -290,21 +273,15 @@ def cmd_dynamics(args) -> int:
     components, mean = pca_fit(vectors, k=3)
     trajectories = prototype_trajectories(log, components, mean)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "trajectories.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["class_id", "task_id", "pc1", "pc2", "pc3"])
-        for c in sorted(trajectories):
-            for t, point in trajectories[c]:
-                writer.writerow([c, t] + [repr(float(v)) for v in point])
+    write_csv(os.path.join(args.out, "trajectories.csv"),
+              ["class_id", "task_id", "pc1", "pc2", "pc3"],
+              [[c, t, *point] for c in sorted(trajectories) for t, point in trajectories[c]])
     print(f"wrote trajectories for {len(trajectories)} classes")
     if args.similarity:
         F = _read_matrix_csv(args.similarity)
         result = motion_similarity(log, F)
-        with open(os.path.join(args.out, "motion_distances.csv"), "w",
-                  newline="") as f:
-            writer = csv.writer(f)
-            for row in result["motion_distance_matrix"]:
-                writer.writerow([repr(float(v)) for v in row])
+        write_csv(os.path.join(args.out, "motion_distances.csv"), None,
+                  result["motion_distance_matrix"])
         print(f"pearson r (feature similarity vs motion distances): "
               f"{result['pearson_r']:.4f}")
     return 0

@@ -9,7 +9,8 @@ substitutes.
 
 from __future__ import annotations
 
-import csv
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -61,33 +62,31 @@ _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
+def _read_idx(path, magic: int, dims: int, what: str):
+    """Read an IDX file of unsigned bytes: check its magic, then return its
+    ``dims`` big-endian size fields and the payload they describe. Bytes
+    past the payload are ignored."""
+    with open(path, "rb") as f:
+        n = 4 * (1 + dims)
+        header = f.read(n)
+        if len(header) < n:
+            raise FormatError(f"{path}: truncated IDX header")
+        found, *sizes = struct.unpack(f">{1 + dims}I", header)
+        if found != magic:
+            raise FormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+        size, left = math.prod(sizes), os.fstat(f.fileno()).st_size - n
+        if size > left:
+            raise FormatError(f"{path}: truncated {what} data: the header's sizes "
+                              f"{tuple(sizes)} need {size} bytes, {left} follow")
+        return sizes, f.read(size)
+
+
 def load_idx(images_path, labels_path) -> List[Image]:
     """Read an IDX image/label file pair; pixels are scaled to [0, 1]."""
-    with open(images_path, "rb") as f:
-        header = f.read(16)
-        if len(header) < 16:
-            raise FormatError(f"{images_path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != _IDX_IMAGE_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_IMAGE_MAGIC:08x}")
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise FormatError(f"{images_path}: truncated pixel data")
-    with open(labels_path, "rb") as f:
-        header = f.read(8)
-        if len(header) < 8:
-            raise FormatError(f"{labels_path}: truncated IDX header")
-        magic, n_labels = struct.unpack(">II", header)
-        if magic != _IDX_LABEL_MAGIC:
-            raise FormatError(
-                f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_LABEL_MAGIC:08x}")
-        labels = f.read(n_labels)
-        if len(labels) != n_labels:
-            raise FormatError(f"{labels_path}: truncated label data")
+    (count, rows, cols), raw = _read_idx(images_path, _IDX_IMAGE_MAGIC, 3, "pixel")
+    (n_labels,), labels = _read_idx(labels_path, _IDX_LABEL_MAGIC, 1, "label")
     if n_labels != count:
-        raise FormatError(
-            f"label count {n_labels} != image count {count}")
+        raise FormatError(f"label count {n_labels} != image count {count}")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, rows, cols)
     pixels = pixels.astype(np.float64) / 255.0
     return [Image(pixels[i], int(labels[i]), index=i) for i in range(count)]
@@ -123,17 +122,6 @@ def synthetic_blobs(num_classes: int, dim: int, per_class_train: int,
 
     return Dataset(draw(per_class_train, 0), draw(per_class_test, per_class_train),
                    num_classes)
-
-
-def export_csv(images: List[Image], path):
-    """One row per image: label followed by the flattened pixels."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        n = images[0].pixels.size if images else 0
-        writer.writerow(["label"] + [f"p{i}" for i in range(n)])
-        for img in images:
-            writer.writerow([img.label] + [repr(float(v))
-                                           for v in img.pixels.reshape(-1)])
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +174,9 @@ def split_protocol(base: Dataset, schedule_kind, few_shot_quota: int = 10,
         n_tasks = len(classes) // 10
         plan = [(classes[i * 10:(i + 1) * 10], 480 if i == 0 else few_shot_quota)
                 for i in range(n_tasks)]
+    elif isinstance(schedule_kind, str):
+        raise ValueError(f"unknown schedule kind {schedule_kind!r}: the presets are "
+                         "'cifar_like' and 'imagenet_like'")
     else:
         plan = list(schedule_kind)
 

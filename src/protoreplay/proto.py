@@ -16,6 +16,7 @@ with queries in the order given.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,6 +24,17 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+
+
+def check_field_types(config, counts, rates):
+    """Raise a ValueError naming the first field in ``counts`` that is not an
+    integer, or in ``rates`` that is not a real number; bool is neither."""
+    for names, kind, what in ((counts, numbers.Integral, "an integer"),
+                              (rates, numbers.Real, "a real number")):
+        for name in names:
+            value = getattr(config, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -33,6 +45,7 @@ class SamplingConfig:
     weighted: bool = True
 
     def __post_init__(self):
+        check_field_types(self, ("Z", "D"), ("tau",))
         if self.Z < 1:
             raise ValueError(f"sample count Z must be >= 1, got {self.Z}")
         if self.tau <= 0:

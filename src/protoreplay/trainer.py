@@ -24,7 +24,7 @@ from .data import Dataset, Image, ProtocolSchedule, task_test_images, task_train
 from .encoder import (EncoderParams, baseline_head, encode_batch, forward, grow_head,
                       init_encoder)
 from .proto import (SamplingConfig, VariationalPrototype, batch_prototype,
-                    logvar_match_loss, mixed_classification_loss)
+                    check_field_types, logvar_match_loss, mixed_classification_loss)
 
 REPLAY_ORDERS = ("forward", "backward", "current_only")
 RECALL_MODES = ("mean_and_var", "mean_only", "var_only")
@@ -46,6 +46,10 @@ class TrainerConfig:
     recall: str = "mean_and_var"
 
     def __post_init__(self):
+        counts = ("epochs_per_task", "batch_per_class", "seed", "per_class_quota")
+        if self.budget_elements is not None:
+            counts += ("budget_elements",)
+        check_field_types(self, counts, ("learning_rate", "support_fraction", "replay_weight"))
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.epochs_per_task < 1:
@@ -167,6 +171,11 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
     for img in task_images:
         by_class.setdefault(img.label, []).append(img)
     new_classes = sorted(by_class)
+    too_small = [c for c in new_classes if len(by_class[c]) < 2]
+    if too_small or not new_classes:
+        raise ValueError(f"task {task_id}: " + (
+            f"classes {too_small} have fewer than two training images, so no "
+            "support/query split can train them" if too_small else "no training images"))
     if protocol == "incremental_class":
         repeated = [c for c in new_classes if c in state.classes_seen]
         if repeated:

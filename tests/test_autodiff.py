@@ -284,3 +284,19 @@ def test_forward_backward_bitwise_deterministic():
 
     g1, g2 = run(), run()
     assert np.array_equal(g1, g2)
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: ad.take_class(Tensor(np.zeros(3)), [0, 1, 2]), "take_class: labels shape"),
+    (lambda: ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 3, 3)))),
+     "need 4-D input and kernel"),
+    (lambda: ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3)))),
+     "incompatible shapes"),
+    (lambda: ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 2, 5, 5)))),
+     "kernel 5 too large"),
+    (lambda: ad.maxpool2x2(Tensor(np.zeros((2, 4, 4)))), "need 4-D input"),
+    (lambda: ad.maxpool2x2(Tensor(np.zeros((1, 1, 3, 4)))), "spatial dims must be even"),
+])
+def test_shape_errors_name_the_problem(make, fragment):
+    with pytest.raises(ShapeError, match=fragment):
+        make()

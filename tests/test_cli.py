@@ -178,3 +178,72 @@ def test_readme_example_config_runs(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     assert "run complete" in capsys.readouterr().out
+
+
+def readme_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+
+
+@pytest.mark.parametrize("overrides, code, stream, fragment", [
+    # the README's preset schedule form
+    ({"schedule": {"kind": "cifar_like"}}, 0, "out", "run complete"),
+    ({"protocol": "incremental_task"}, 2, "err", "unknown protocol 'incremental_task'"),
+    ({"ablation": ["recall", "mean_only"]}, 2, "err", "ablation must be a JSON object"),
+])
+def test_run_config_forms(tmp_path, capsys, overrides, code, stream, fragment):
+    cfg = run_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    assert fragment in getattr(capsys.readouterr(), stream)
+
+
+def test_unknown_schedule_kind_exits_two(tmp_path, capsys):
+    cfg = run_config(tmp_path, schedule={"kind": "cifar"})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert ("error: unknown schedule kind 'cifar': the presets are 'cifar_like' and "
+            "'imagenet_like'") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quota, fragment", [
+    (1, "task 1: classes [0, 1] have fewer than two training images"),
+    (0, "task 1: no training images"),
+])
+def test_task_classes_too_small_to_train_exit_two(tmp_path, capsys, quota, fragment):
+    cfg = readme_config()
+    cfg["schedule"]["quota"] = quota
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("epochs_per_task", 2.5, "epochs_per_task"),
+    ("batch_per_class", 4.0, "batch_per_class"),
+    ("per_class_quota", 2.5, "per_class_quota"),
+    ("seed", 1.5, "seed"),
+    ("latent_dim", 16.0, "D"),
+    ("samples", "50", "Z"),
+])
+def test_config_value_of_the_wrong_type_exits_two(tmp_path, capsys, key, value, field):
+    cfg = run_config(tmp_path, **{key: value})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: {field} must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count, rows, cols", [
+    (0xFFFFFFFF, 0xFFFF, 0xFFFF),
+    (2 ** 31, 2 ** 16, 2 ** 10),
+])
+def test_idx_sizes_larger_than_the_file_exit_two(tmp_path, capsys, count, rows, cols):
+    images = tmp_path / "images.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols) + bytes(24))
+    labels = tmp_path / "labels.idx"
+    labels.write_bytes(struct.pack(">II", 0x801, 6) + bytes(6))
+    dataset = {"kind": "idx", "train_images": str(images), "train_labels": str(labels),
+               "test_images": str(images), "test_labels": str(labels)}
+    cfg = run_config(tmp_path, dataset=dataset)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {images}: truncated pixel data" in capsys.readouterr().err

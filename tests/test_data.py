@@ -1,6 +1,5 @@
 """IDX parsing, synthetic blobs, and task protocols."""
 
-import csv
 import struct
 
 import numpy as np
@@ -10,7 +9,7 @@ from protoreplay.data import (Dataset, FormatError, Image,
                               incremental_class_plan, load_idx,
                               permuted_protocol, split_protocol,
                               synthetic_blobs, task_test_images,
-                              task_train_images, export_csv)
+                              task_train_images)
 
 
 def write_idx_pair(tmp_path, count=4, rows=2, cols=2, labels=None,
@@ -89,6 +88,24 @@ def test_load_idx_rejects_count_mismatch(tmp_path):
     ip, lp = write_idx_pair(tmp_path, labels=[0, 1])
     with pytest.raises(FormatError, match="count"):
         load_idx(ip, lp)
+
+
+@pytest.mark.parametrize("count, rows, cols", [
+    (0xFFFFFFFF, 0xFFFF, 0xFFFF),       # more bytes than a read can ask for
+    (2 ** 31, 2 ** 16, 2 ** 10),        # more bytes than memory holds
+])
+def test_load_idx_rejects_sizes_larger_than_the_file(tmp_path, count, rows, cols):
+    ip, lp = write_idx_pair(tmp_path)
+    ip.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols) + bytes(16))
+    with pytest.raises(FormatError, match="truncated pixel data") as info:
+        load_idx(ip, lp)
+    assert str(ip) in str(info.value)
+
+
+def test_load_idx_accepts_trailing_bytes(tmp_path):
+    ip, lp = write_idx_pair(tmp_path)
+    ip.write_bytes(ip.read_bytes() + b"\x00\x00")
+    assert len(load_idx(ip, lp)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +260,13 @@ def test_split_subsampling_deterministic_under_seed():
         assert sa.train_indices == sb.train_indices
 
 
-# ---------------------------------------------------------------------------
-# CSV export
-
-def test_export_csv_roundtrip(tmp_path):
-    ds = synthetic_blobs(2, 3, 2, 1, 1.0, seed=4)
-    path = tmp_path / "out.csv"
-    export_csv(ds.train, path)
-    with open(path) as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["label", "p0", "p1", "p2"]
-    assert len(rows) == 1 + len(ds.train)
-    for row, img in zip(rows[1:], ds.train):
-        assert int(row[0]) == img.label
-        assert np.array_equal(np.array([float(v) for v in row[1:]]),
-                              img.pixels.reshape(-1))
+@pytest.mark.parametrize("make, fragment", [
+    (lambda ds: split_protocol(ds, "cifar_like"), "cifar_like needs >= 3 classes, got 2"),
+    (lambda ds: split_protocol(ds, "imagenet_like"), "imagenet_like needs >= 20 classes"),
+    (lambda ds: split_protocol(ds, [([0], 2), ([5], 2)]), "class 5 has no training images"),
+    (lambda ds: split_protocol(ds, "cifar"),
+     "unknown schedule kind 'cifar': the presets are 'cifar_like' and 'imagenet_like'"),
+])
+def test_split_protocol_rejects_what_it_cannot_schedule(make, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make(synthetic_blobs(2, 3, 4, 2, 1.0, seed=0))

@@ -140,3 +140,16 @@ def test_encode_batch_gradcheck():
         return ad.tsum(ad.add(ad.square(mean), ad.square(logvar)))
 
     assert grad_check(f, params.parameters(), epsilon=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: encode_batch(init_encoder([LayerSpec("dropout")], latent_dim=1),
+                          np.zeros((1, 1, 1, 2))), "unknown layer kind 'dropout'"),
+    (lambda: reference_architecture("synthetic_vector", latent_dim=4),
+     "synthetic_vector needs latent_dim and input_dim"),
+    (lambda: reference_architecture("resnet18"), "unknown architecture 'resnet18'"),
+    (lambda: baseline_head(small_layers(), 1), "num_classes must be >= 2"),
+])
+def test_validation_errors_name_the_problem(make, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make()

@@ -13,8 +13,9 @@ from protoreplay.autodiff import Tensor
 from protoreplay.proto import (LatentSample, SamplingConfig,
                                VariationalEmbedding, VariationalPrototype,
                                class_posterior, classification_loss,
-                               compute_prototype, mixed_classification_loss,
-                               replay_loss, sample_latent, weighted_distance)
+                               compute_prototype, logvar_match_loss,
+                               mixed_classification_loss, replay_loss,
+                               sample_latent, weighted_distance)
 
 
 def emb(mean, logvar=None):
@@ -546,3 +547,22 @@ def test_coincident_samples_give_finite_small_gradients(C, D, Z):
     for got, want in zip(fused, composed):
         assert np.all(np.isfinite(got)) and np.all(np.abs(got) < 1.0)
         assert np.max(np.abs(got - want)) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# input validation
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: SamplingConfig(Z=0), "sample count Z"),
+    (lambda: SamplingConfig(tau=0.0), "temperature tau"),
+    (lambda: SamplingConfig(D=0), "latent dimension D"),
+    (lambda: mixed_classification_loss(
+        Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), [0], [proto(0, [0.0, 0.0])],
+        [proto(0, [1.0, 1.0])], SamplingConfig(Z=2, D=2), np.random.default_rng(0)),
+     "duplicate class ids"),
+    (lambda: logvar_match_loss(Tensor(np.zeros((1, 2))), [3], [proto(0, [0.0, 0.0])]),
+     "exemplar class 3 absent"),
+])
+def test_validation_errors_name_the_problem(make, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make()
