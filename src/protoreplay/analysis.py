@@ -37,6 +37,20 @@ def read_csv(path) -> List[List[str]]:
         return list(csv.reader(f))
 
 
+def read_data_rows(path, parse_row) -> None:
+    """Call ``parse_row`` on each row of a CSV file after its header row. An
+    empty file, or a row that ``parse_row`` rejects with a ValueError, raises
+    a ValueError naming the file, the row and the problem."""
+    rows = read_csv(path)
+    if not rows:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    for n, row in enumerate(rows[1:], start=2):
+        try:
+            parse_row(row)
+        except ValueError as exc:
+            raise ValueError(f"{path}, row {n}: {exc}") from None
+
+
 @dataclass
 class AccuracyMatrix:
     rows: List[List[float]] = field(default_factory=list)
@@ -61,9 +75,7 @@ class AccuracyMatrix:
     @classmethod
     def from_csv(cls, path) -> "AccuracyMatrix":
         matrix = cls()
-        _, *rows = read_csv(path)
-        for row in rows:
-            matrix.add_row([float(v) for v in row if v != ""])
+        read_data_rows(path, lambda row: matrix.add_row([float(v) for v in row if v != ""]))
         return matrix
 
 
@@ -131,9 +143,13 @@ class PrototypeHistoryLog:
     @classmethod
     def from_csv(cls, path) -> "PrototypeHistoryLog":
         log = cls()
-        _, *rows = read_csv(path)
-        for row in rows:
+
+        def parse(row):
+            if len(row) < 2:
+                raise ValueError(f"{len(row)} field(s), expected task_id, class_id "
+                                 "and the mean's values")
             log.add(int(row[0]), int(row[1]), np.array([float(v) for v in row[2:]]))
+        read_data_rows(path, parse)
         return log
 
 

@@ -4,12 +4,16 @@ Each operation builds a node that remembers its parents and a backward
 closure; calling ``backward()`` on a scalar output walks the graph in
 reverse topological order and accumulates gradients additively into every
 leaf that has ``requires_grad`` set; an interior node's gradient is freed as
-soon as it has been passed on to its parents. The op set is intentionally
-small: just enough for a convolutional / fully-connected encoder and the
-distance-softmax losses built on top of it.
+soon as it has been passed on to its parents. Inside ``no_grad()`` no node
+is built, so a forward-only pass keeps nothing alive for a backward that
+never runs. The op set is intentionally small: just enough for a
+convolutional / fully-connected encoder and the distance-softmax losses
+built on top of it.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -55,9 +59,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None
@@ -106,8 +107,25 @@ def _accumulate(t: Tensor, grad: np.ndarray):
         buf += _unbroadcast(grad, t.data.shape)
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block untracked: every op returns a tensor with no parents and
+    no backward closure. The previous state comes back on exit, also on an
+    exception."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _node(data: np.ndarray, parents, backward) -> Tensor:
-    tracked = any(p.requires_grad or p._backward is not None for p in parents)
+    tracked = _grad_enabled and any(p.requires_grad or p._backward is not None
+                                    for p in parents)
     out = Tensor(data, requires_grad=tracked)
     if tracked:
         out._parents = tuple(parents)

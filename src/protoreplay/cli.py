@@ -183,7 +183,8 @@ def cmd_run(args) -> int:
     # latent means of task-1 training images under the final encoder: the
     # basis source for the dynamics subcommand
     task1 = task_train_images(dataset, schedule.tasks[0])
-    mean, _ = _encode_images(state.encoder, task1)
+    with ad.no_grad():
+        mean, _ = _encode_images(state.encoder, task1)
     write_csv(os.path.join(args.out, "task1_latents.csv"),
               [f"m{i}" for i in range(mean.data.shape[1])], mean.data)
 
@@ -254,13 +255,22 @@ def cmd_footprint(args) -> int:
 
 
 def _read_matrix_csv(path) -> np.ndarray:
+    """The numeric rows of a CSV file as a matrix; a first row that does not
+    start with a number is a header. Blank lines are skipped."""
     rows = [r for r in read_csv(path) if r]
+    if rows:
+        try:
+            float(rows[0][0])
+        except ValueError:
+            rows = rows[1:]
+    if not rows:
+        raise ValueError(f"{path}: no numeric rows")
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError(f"{path}: rows of different lengths")
     try:
-        float(rows[0][0])
-        data = rows
-    except ValueError:
-        data = rows[1:]
-    return np.array([[float(v) for v in row] for row in data])
+        return np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_dynamics(args) -> int:

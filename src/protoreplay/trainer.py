@@ -23,8 +23,9 @@ from .autodiff import Tensor
 from .data import Dataset, Image, ProtocolSchedule, task_test_images, task_train_images
 from .encoder import (EncoderParams, baseline_head, encode_batch, forward, grow_head,
                       init_encoder)
-from .proto import (SamplingConfig, VariationalPrototype, batch_prototype,
-                    check_field_types, logvar_match_loss, mixed_classification_loss)
+from .proto import (SamplingConfig, VariationalPrototype, _centre, _sq_distances,
+                    batch_prototype, check_field_types, logvar_match_loss,
+                    mixed_classification_loss)
 
 REPLAY_ORDERS = ("forward", "backward", "current_only")
 RECALL_MODES = ("mean_and_var", "mean_only", "var_only")
@@ -281,16 +282,16 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
             keys = [(task_id, c) for c in sorted(state.memory.exemplars) if c not in by_class]
         groups += [(t, c, imgs) for t, c in keys
                    if (imgs := _backing(state.memory, t, c, protocol))]
-    mean, logvar = _encode_images(state.encoder,
-                                  [img for _, _, imgs in groups for img in imgs])
+    with ad.no_grad():
+        mean, logvar = _encode_images(state.encoder,
+                                      [img for _, _, imgs in groups for img in imgs])
     ends = np.cumsum([len(imgs) for _, _, imgs in groups])
     protos = [batch_prototype(t, c, mean, logvar, range(end - len(imgs), end))
               for (t, c, imgs), end in zip(groups, ends)]
     mem.store_prototypes(state.memory, task_id, [p for p in protos if p.task_id == task_id])
     for p in protos:
         if p.task_id != task_id:
-            state.memory.prototype_history[(p.task_id, p.class_id)] = VariationalPrototype(
-                p.task_id, p.class_id, p.mean.detach(), p.logvar.detach())
+            state.memory.prototype_history[(p.task_id, p.class_id)] = p
 
     mem.store_exemplars(state.memory, task_id, by_class, quota, state.rng)
     mem.rebalance(state.memory, classes_after, state.rng)
@@ -303,14 +304,18 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
 def evaluate(state: TrainingState, test_images: List[Image],
              cfg: TrainerConfig,
              prototype_scope: str = "latest") -> Tuple[float, Dict[int, float]]:
-    """Deterministic nearest-prototype rule on mean vectors; ties go to the
-    lowest class id. ``prototype_scope`` selects the candidate set: "latest"
-    uses the most recent stored prototype per class; "history" uses every
-    stored (task, class) prototype and predicts the class of the nearest one
-    (the permuted-domain rule, where each task keeps its own coordinates).
-    Distances are unweighted Euclidean, so the rule reads nothing from
-    ``cfg``: a log-variance weighting would systematically shrink distances
-    for high-variance classes at test time."""
+    """Deterministic nearest-prototype rule on mean vectors.
+
+    ``prototype_scope`` selects the candidate set: "latest" uses the most
+    recent stored prototype per class, in class-id order; "history" uses
+    every stored (task, class) prototype in key order and predicts the class
+    of the nearest one (the permuted-domain rule, where each task keeps its
+    own coordinates). Distances are unweighted Euclidean, from the loss's
+    distance kernel, so the rule reads nothing from ``cfg``: a log-variance
+    weighting would systematically shrink distances for high-variance
+    classes at test time. A tie between equal prototype means goes to the
+    first candidate in scope order: the lowest class id under "latest", the
+    lowest (task, class) key under "history"."""
     if prototype_scope not in ("latest", "history"):
         raise ValueError(f"unknown prototype_scope {prototype_scope!r}")
     if prototype_scope == "latest":
@@ -323,11 +328,19 @@ def evaluate(state: TrainingState, test_images: List[Image],
     for img in test_images:
         if img.label not in classes:
             raise ValueError(f"test label {img.label} has no stored prototype")
-    mean, _ = _encode_images(state.encoder, test_images)
-    emb = mean.data
-    dists = np.stack([np.linalg.norm(emb - p.mean.data, axis=1) for p in protos],
-                     axis=1)                                        # (N, P)
-    preds = np.array([p.class_id for p in protos])[dists.argmin(axis=1)]
+    with ad.no_grad():
+        mean, _ = _encode_images(state.encoder, test_images)
+    # Equal means share one column, the first candidate's: the GEMM in
+    # _sq_distances can round two equal columns differently.
+    first: Dict[bytes, VariationalPrototype] = {}
+    for p in protos:
+        first.setdefault(p.mean.data.tobytes(), p)
+    columns = list(first.values())
+    qs = mean.data[:, None, :]                                      # (N, 1, D)
+    ps = np.stack([p.mean.data for p in columns])[None]             # (1, U, D)
+    _centre(qs, ps)
+    d2 = _sq_distances(qs, ps, np.ones(ps.shape[1:]))[:, 0]         # (N, U)
+    preds = np.array([p.class_id for p in columns])[d2.argmin(axis=1)]
     truth = np.array([img.label for img in test_images])
     hit = preds == truth
     per_class = {c: np.count_nonzero(hit[truth == c]) / np.count_nonzero(truth == c)
@@ -366,7 +379,8 @@ def _softmax_ce_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def _baseline_eval(params: EncoderParams, test_images: List[Image]) -> float:
     pixels = np.stack([img.pixels for img in test_images])
-    logits = forward(params, Tensor(pixels)).data
+    with ad.no_grad():
+        logits = forward(params, Tensor(pixels)).data
     preds = logits.argmax(axis=1)
     labels = np.array([img.label for img in test_images])
     return float((preds == labels).mean())

@@ -300,3 +300,61 @@ def test_forward_backward_bitwise_deterministic():
 def test_shape_errors_name_the_problem(make, fragment):
     with pytest.raises(ShapeError, match=fragment):
         make()
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+NO_GRAD_OPS = [
+    lambda a, b, x, w: ad.add(a, b), lambda a, b, x, w: ad.sub(a, b),
+    lambda a, b, x, w: ad.mul(a, b), lambda a, b, x, w: ad.matmul(a, ad.reshape(b, (4, 2))),
+    lambda a, b, x, w: ad.exp(a), lambda a, b, x, w: ad.log(ad.exp(a)),
+    lambda a, b, x, w: ad.scale(a, 2.0), lambda a, b, x, w: ad.square(a),
+    lambda a, b, x, w: ad.sqrt(ad.square(a)), lambda a, b, x, w: ad.relu(a),
+    lambda a, b, x, w: ad.clip(a, -0.5, 0.5), lambda a, b, x, w: ad.tsum(a, axis=1),
+    lambda a, b, x, w: ad.tmean(a), lambda a, b, x, w: ad.narrow(a, 1, 1, 2),
+    lambda a, b, x, w: ad.stack([a, b]), lambda a, b, x, w: ad.take_rows(a, [1, 0, 1]),
+    lambda a, b, x, w: ad.take_class(a, [0, 3]), lambda a, b, x, w: ad.logsumexp(a),
+    lambda a, b, x, w: ad.conv2d(x, w, padding=1),
+    lambda a, b, x, w: ad.maxpool2x2(ad.conv2d(x, w, padding=1)),
+]
+
+
+def _leaves():
+    rng = np.random.default_rng(4)
+    return [Tensor(rng.uniform(-1, 1, s), requires_grad=True)
+            for s in ((2, 4), (2, 4), (1, 2, 4, 4), (3, 2, 3, 3))]
+
+
+@pytest.mark.parametrize("op", range(len(NO_GRAD_OPS)))
+def test_no_grad_ops_build_no_node(op):
+    leaves = _leaves()
+    tracked = NO_GRAD_OPS[op](*leaves)
+    assert tracked._backward is not None and tracked._parents
+    with ad.no_grad():
+        out = NO_GRAD_OPS[op](*leaves)
+    assert out._backward is None and out._parents == () and not out.requires_grad
+    assert np.array_equal(out.data, tracked.data)
+
+
+def _is_tracked():
+    return ad.add(Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(2)))._backward \
+        is not None
+
+
+def test_no_grad_restores_tracking_after_nesting_and_exceptions():
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not _is_tracked()
+        assert not _is_tracked()
+    assert _is_tracked()
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            raise RuntimeError("raised inside the block")
+    assert _is_tracked()
+    with ad.no_grad():
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("raised inside the inner block")
+        assert not _is_tracked()
+    assert _is_tracked()

@@ -247,3 +247,29 @@ def test_idx_sizes_larger_than_the_file_exit_two(tmp_path, capsys, count, rows, 
     cfg = run_config(tmp_path, dataset=dataset)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"error: {images}: truncated pixel data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, bad, fragment", [
+    (["dynamics", "--history", "history.csv", "--basis", "empty.csv"], "empty.csv",
+     "no numeric rows"),
+    (["dynamics", "--history", "history.csv", "--similarity", "empty.csv"], "empty.csv",
+     "no numeric rows"),
+    (["dynamics", "--history", "history.csv", "--basis", "ragged.csv"], "ragged.csv",
+     "rows of different lengths"),
+    (["dynamics", "--history", "short.csv"], "short.csv", "row 3: 1 field(s)"),
+    (["report", "--matrix", "empty.csv"], "empty.csv", "empty file"),
+])
+def test_malformed_csv_input_exits_two_naming_the_file(tmp_path, capsys, args, bad,
+                                                        fragment):
+    history = ["task_id,class_id,m0,m1,m2", "1,0,1.0,0.0,0.0", "1,1,0.0,1.0,0.0",
+               "1,2,0.0,0.0,1.0", "2,0,0.0,0.0,0.0"]
+    (tmp_path / "history.csv").write_text("\n".join(history) + "\n")
+    (tmp_path / "short.csv").write_text("\n".join(history[:2] + ["1"]) + "\n")
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "ragged.csv").write_text("1.0,2.0,3.0\n4.0,5.0\n")
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in args]
+    if args[0] == "dynamics":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / bad}" in err and fragment in err

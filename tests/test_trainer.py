@@ -359,6 +359,150 @@ def test_evaluate_matches_per_image_loop():
                              / sum(img.label == c for img in tests) for c in range(4)}
 
 
+def _per_image_loop(state, tests, scope):
+    """The nearest-prototype rule one test image at a time, by np.linalg.norm;
+    a tie goes to the first candidate in scope order."""
+    if scope == "latest":
+        latest = state.memory.latest_prototypes()
+        protos = [latest[c] for c in sorted(latest)]
+    else:
+        protos = [state.memory.prototype_history[k]
+                  for k in sorted(state.memory.prototype_history)]
+    means = np.stack([p.mean.data for p in protos])
+    emb = encode_batch(state.encoder, np.stack([img.pixels for img in tests]))[0].data
+    hits = [protos[int(np.argmin(np.linalg.norm(e - means, axis=1)))].class_id == img.label
+            for e, img in zip(emb, tests)]
+    labels = sorted({img.label for img in tests})
+    return sum(hits) / len(tests), {
+        c: sum(h for h, img in zip(hits, tests) if img.label == c)
+        / sum(img.label == c for img in tests) for c in labels}
+
+
+def _tied_prototype_state(rng, scope, offset=0.0):
+    """An untrained encoder whose stored prototype means are three anchor
+    images' means, each stored under two or three (task, class) keys, and
+    test images of random labels close to the anchors. A non-zero
+    ``offset`` moves every latent mean by it and shrinks their spread a
+    millionfold."""
+    D = 50
+    cfg = small_cfg(sampling=SamplingConfig(Z=5, tau=1.0, D=D))
+    params = init_encoder(small_arch(latent_dim=D), latent_dim=D,
+                          seed=int(rng.integers(1 << 16)))
+    if offset:
+        w, b = params.weights[-1]
+        w.data[:, :D] *= 1e-6
+        b.data[:D] += offset
+    anchors = rng.uniform(-1, 1, (3, 1, 1, 8))
+    bases = encode_batch(params, anchors)[0].data
+    state = make_state(params, cfg)
+    if scope == "latest":
+        keys = [(1, c) for c in range(6)]
+        uses = rng.permutation([0, 0, 1, 1, 2, 2])
+    else:
+        keys = [(t, c) for t in (1, 2, 3) for c in range(3)]
+        uses = rng.permutation([0, 0, 0, 1, 1, 1, 2, 2, 2])
+    for (t, c), u in zip(keys, uses):
+        state.memory.prototype_history[(t, c)] = VariationalPrototype(
+            t, c, Tensor(bases[u].copy()), Tensor(np.zeros(D)))
+    classes = sorted({c for _, c in keys})
+    tests = [Image(anchors[i % 3] + rng.normal(0, 0.05, (1, 1, 8)), int(rng.choice(classes)))
+             for i in range(30)]
+    return state, tests, cfg
+
+
+@pytest.mark.parametrize("scope", ["latest", "history"])
+def test_evaluate_ties_between_equal_means_match_per_image_loop(scope):
+    # the GEMM behind evaluate can round two equal prototype columns apart,
+    # so equal means must resolve like the per-image loop: first candidate
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        state, tests, cfg = _tied_prototype_state(rng, scope)
+        assert evaluate(state, tests, cfg, prototype_scope=scope) == \
+            _per_image_loop(state, tests, scope)
+
+
+@pytest.mark.parametrize("scope", ["latest", "history"])
+def test_evaluate_far_from_the_origin_matches_per_image_loop(scope):
+    # latents near 1e3 that differ by about 1e-6: the squared-distance
+    # expansion is only exact enough on samples centred first
+    state, tests, cfg = _tied_prototype_state(np.random.default_rng(5), scope, offset=1e3)
+    acc, per_class = evaluate(state, tests, cfg, prototype_scope=scope)
+    assert 0.0 < acc < 1.0
+    assert (acc, per_class) == _per_image_loop(state, tests, scope)
+
+
+def test_evaluate_between_tasks_leaves_the_next_steps_gradients_unchanged(monkeypatch):
+    ds = synthetic_blobs(3, 8, 8, 6, separation=3.0, seed=1)
+    schedule = split_protocol(ds, incremental_class_plan(3, 2, 1, 8), seed=0)
+    cfg = small_cfg(epochs_per_task=2)
+    sgd = trainer.sgd_step
+
+    def gradients(evaluate_first):
+        grads = []
+
+        def spy_sgd(params, lr):
+            grads.append([p.grad.copy() for p in params.parameters()])
+            return sgd(params, lr)
+
+        state = make_state(init_encoder(small_arch(), latent_dim=4, seed=0), cfg)
+        train_task(state, 1, task_train_images(ds, schedule.tasks[0]), cfg)
+        if evaluate_first:
+            evaluate(state, task_test_images(ds, schedule.tasks[0]), cfg)
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "sgd_step", spy_sgd)
+            train_task(state, 2, task_train_images(ds, schedule.tasks[1]), cfg)
+        return grads
+
+    with_eval, without = gradients(True), gradients(False)
+    assert len(with_eval) == len(without) > 0
+    for a, b in zip(with_eval, without):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert any(np.any(g) for g in with_eval[0])
+
+
+def test_evaluate_keeps_no_graph_alive(monkeypatch):
+    # Memory held right after evaluate's encode of 80 cifar_like_32 images:
+    # 2.6 MB graph-free (the stacked pixels and the (80, 500) means and
+    # log-variances), about 208 MB with the forward graph kept.
+    import tracemalloc
+    cfg = TrainerConfig(SamplingConfig(Z=2, D=500))
+    state = make_state(init_encoder(reference_architecture("cifar_like_32"), 500, seed=0), cfg)
+    rng = np.random.default_rng(0)
+    for c in (0, 1):
+        state.memory.prototype_history[(1, c)] = VariationalPrototype(
+            1, c, Tensor(rng.normal(size=500)), Tensor(np.zeros(500)))
+    tests = [Image(rng.uniform(0, 1, (3, 32, 32)), i % 2) for i in range(80)]
+    held = []
+    encode = trainer.encode_batch
+
+    def spy_encode(params, pixels):
+        out = encode(params, pixels)
+        held.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    monkeypatch.setattr(trainer, "encode_batch", spy_encode)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate(state, tests, cfg)
+    finally:
+        tracemalloc.stop()
+    assert (held[0] - before) / 1e6 < 4.0
+
+
+def test_accuracy_matrices_pinned():
+    # Recorded values, equal at 1 and 2 BLAS threads: an engine change that
+    # moves them changes the results of a run.
+    cfg = small_cfg(epochs_per_task=4)
+    ds = synthetic_blobs(4, 8, 10, 25, separation=2.0, seed=1)
+    schedule = split_protocol(ds, incremental_class_plan(4, 2, 1, 8), seed=0)
+    matrix, _ = run_continual(ds, schedule, small_arch(), 4, cfg)
+    assert matrix.rows == [[0.84], [0.66, 0.64], [0.6, 0.48, 0.64]]
+    ds = synthetic_blobs(4, 8, 10, 25, separation=3.0, seed=2)
+    matrix, _ = run_continual(ds, permuted_protocol(ds, 3, seed=0), small_arch(), 4, cfg)
+    assert matrix.rows == [[0.69], [0.54, 0.47], [0.38, 0.46, 0.49]]
+
+
 # ---------------------------------------------------------------------------
 # baselines
 
