@@ -125,7 +125,11 @@ class PrototypeHistoryLog:
     def add(self, task_id: int, class_id: int, mean: np.ndarray):
         if any(t == task_id and c == class_id for t, c, _ in self.records):
             raise ValueError(f"duplicate record for (task={task_id}, class={class_id})")
-        self.records.append((task_id, class_id, np.asarray(mean, dtype=np.float64)))
+        mean = np.asarray(mean, dtype=np.float64)
+        if self.records and mean.size != self.records[0][2].size:
+            raise ValueError(f"mean of {mean.size} values, but the first record's "
+                             f"has {self.records[0][2].size}")
+        self.records.append((task_id, class_id, mean))
 
     def by_class(self) -> Dict[int, List[Tuple[int, np.ndarray]]]:
         out: Dict[int, List[Tuple[int, np.ndarray]]] = {}

@@ -123,9 +123,15 @@ def no_grad():
         _grad_enabled = saved
 
 
+def _tracked(parents) -> bool:
+    """Whether an op on ``parents`` builds a node; an op whose backward
+    needs extra forward state builds it only then."""
+    return _grad_enabled and any(p.requires_grad or p._backward is not None
+                                 for p in parents)
+
+
 def _node(data: np.ndarray, parents, backward) -> Tensor:
-    tracked = _grad_enabled and any(p.requires_grad or p._backward is not None
-                                    for p in parents)
+    tracked = _tracked(parents)
     out = Tensor(data, requires_grad=tracked)
     if tracked:
         out._parents = tuple(parents)
@@ -195,7 +201,7 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    mask = a.data > 0 if _tracked((a,)) else None
 
     def backward(g):
         _accumulate(a, g * mask)
@@ -203,7 +209,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    mask = (a.data >= lo) & (a.data <= hi)
+    mask = (a.data >= lo) & (a.data <= hi) if _tracked((a,)) else None
 
     def backward(g):
         _accumulate(a, g * mask)
@@ -362,17 +368,22 @@ def maxpool2x2(x: Tensor) -> Tensor:
         raise ShapeError(f"maxpool2x2: spatial dims must be even, got {x.shape}")
     xr = x.data.reshape(B, C, H // 2, 2, W // 2, 2)
     corners = ((0, 0), (0, 1), (1, 0), (1, 1))           # row-major in a block
-    quads = [xr[:, :, :, i, :, j] for i, j in corners]
-    out_data = np.maximum(np.maximum(quads[0], quads[1]), np.maximum(quads[2], quads[3]))
+    q = [xr[:, :, :, i, :, j] for i, j in corners]
+    top, bottom = np.maximum(q[0], q[1]), np.maximum(q[2], q[3])
+    out_data = np.maximum(top, bottom)
+    hits = None
+    if _tracked((x,)):
+        # the corner each output came from: a later one only where strictly larger
+        low, right_top, right_low = bottom > top, q[1] > q[0], q[3] > q[2]
+        high = ~low
+        hits = (high & ~right_top, high & right_top, low & ~right_low, low & right_low)
 
     def backward(g):
-        gx = np.zeros(xr.shape)
-        free = np.ones(out_data.shape, dtype=bool)      # output not yet routed
-        for (i, j), q in zip(corners, quads):
-            hit = q == out_data
-            hit &= free
-            np.copyto(gx[:, :, :, i, :, j], g, where=hit)
-            free ^= hit
+        # on the bits, so an unrouted slot holds +0.0 whatever g holds
+        gx = np.empty(xr.shape)
+        gi, gxi = g.view(np.int64), gx.view(np.int64)
+        for (i, j), hit in zip(corners, hits):
+            np.multiply(gi, hit, out=gxi[:, :, :, i, :, j])
         _accumulate(x, gx.reshape(B, C, H, W))
     return _node(out_data, (x,), backward)
 

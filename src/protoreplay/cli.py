@@ -278,9 +278,18 @@ def cmd_dynamics(args) -> int:
     log = PrototypeHistoryLog.from_csv(args.history)
     if args.basis:
         vectors = _read_matrix_csv(args.basis)
-    else:
+        if log.records and vectors.shape[1] != log.records[0][2].size:
+            raise ValueError(f"{args.basis}: rows of {vectors.shape[1]} values, but the "
+                             f"means in {args.history} have {log.records[0][2].size}")
+    elif log.records:
         vectors = np.stack([m for _, _, m in log.records])
-    components, mean = pca_fit(vectors, k=3)
+    else:
+        raise ValueError(f"{args.history}: no prototype records to fit a basis on; "
+                         "pass --basis")
+    try:
+        components, mean = pca_fit(vectors, k=3)
+    except ValueError as exc:
+        raise ValueError(f"{args.basis or args.history}: {exc}") from None
     trajectories = prototype_trajectories(log, components, mean)
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "trajectories.csv"),

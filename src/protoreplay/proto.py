@@ -11,12 +11,17 @@ frozen at earlier tasks. Both run one batched loss,
 Noise-draw order is part of the contract so results are reproducible from a
 seeded generator: each loss first draws prototype noise of shape (Z, C, D)
 with classes in ascending class_id order, then query noise of shape (Q, Z, D)
-with queries in the order given.
+with queries in the order given. ``NoiseStream`` may draw ahead on a second
+thread without changing which values each request gets.
 """
 
 from __future__ import annotations
 
+import contextlib
 import numbers
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,6 +40,114 @@ def check_field_types(config, counts, rates):
             value = getattr(config, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+class NoiseStream:
+    """A seeded Generator's standard normals, optionally drawn ahead.
+
+    ``standard_normal(size)`` returns exactly what the wrapped Generator's
+    would: its draws concatenate across calls, so reading them from blocks
+    drawn earlier changes no value. Inside ``ahead()`` one producer thread
+    fills a ring of ``BLOCK``-normal blocks while the caller computes, and
+    requests copy from the filled blocks in draw order. The ring grows to the
+    largest single request seen. On exit the draws not yet read are given
+    back, by resetting the generator to the first of them, and the ring is
+    freed, so outside ``ahead()`` the stream is the plain Generator. With
+    fewer than two usable CPUs ``ahead()`` starts no thread.
+    """
+
+    BLOCK = 1 << 16
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._cond = threading.Condition()
+        self._free: deque = deque()     # blank blocks
+        self._full: deque = deque()     # (generator state before, block), in draw order
+        self._largest = 0               # blocks in the largest request so far
+        self._blocks = 0                # blocks in the ring
+        self._head = None               # the (state, block) being read
+        self._pos = 0                   # normals read from it
+        self._running = False
+
+    def standard_normal(self, size) -> np.ndarray:
+        if not self._running:
+            return self._gen.standard_normal(size)
+        out = np.empty(size)
+        flat = out.reshape(-1)
+        self._grow(-(-flat.size // self.BLOCK))
+        done = 0
+        while done < flat.size:
+            if self._head is None:
+                with self._cond:
+                    while not self._full:
+                        self._cond.wait()
+                    self._head, self._pos = self._full.popleft(), 0
+            block = self._head[1]
+            k = min(self.BLOCK - self._pos, flat.size - done)
+            flat[done:done + k] = block[self._pos:self._pos + k]
+            done += k
+            self._pos += k
+            if self._pos == self.BLOCK:
+                with self._cond:
+                    self._free.append(block)
+                    self._cond.notify_all()
+                self._head = None
+        return out
+
+    def _grow(self, blocks: int):
+        self._largest = max(self._largest, blocks)
+        if self._largest > self._blocks:
+            with self._cond:
+                self._free.extend(np.empty(self.BLOCK)
+                                  for _ in range(self._largest - self._blocks))
+                self._blocks = self._largest
+                self._cond.notify_all()
+
+    def _produce(self):
+        while True:
+            with self._cond:
+                while self._running and not self._free:
+                    self._cond.wait()
+                if not self._running:
+                    return
+                block = self._free.popleft()
+            state = self._gen.bit_generator.state
+            self._gen.standard_normal(out=block)
+            with self._cond:
+                self._full.append((state, block))
+                self._cond.notify_all()
+
+    def _give_back(self):
+        """Reset the generator to the first unread draw and free the ring."""
+        if self._head is not None:
+            self._gen.bit_generator.state = self._head[0]
+            self._gen.standard_normal(self._pos)        # the part already read
+        elif self._full:
+            self._gen.bit_generator.state = self._full[0][0]
+        self._head = None
+        self._free.clear()
+        self._full.clear()
+        self._blocks = 0
+
+    @contextlib.contextmanager
+    def ahead(self):
+        """Draw ahead on one producer thread for the block; it is joined on
+        exit, also on an exception. A nested ``ahead()`` adds no thread."""
+        if self._running or len(os.sched_getaffinity(0)) < 2:
+            yield
+            return
+        self._running = True
+        self._grow(self._largest)
+        producer = threading.Thread(target=self._produce, name="noise-ahead", daemon=True)
+        producer.start()
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._running = False
+                self._cond.notify_all()
+            producer.join()
+            self._give_back()
 
 
 @dataclass
@@ -129,16 +242,19 @@ def _centre(qs: np.ndarray, ps: np.ndarray) -> None:
     ps -= ref
 
 
-def _sq_distances(qs: np.ndarray, ps: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _sq_distances(qs: np.ndarray, ps: np.ndarray, w: np.ndarray,
+                  wps: Optional[np.ndarray] = None) -> np.ndarray:
     """Weighted squared distances sum_d w[c, d] * (qs[q, z, d] - ps[z, c, d])**2.
 
     qs: (Q, Z, D) query samples; ps: (Z, C, D) prototype samples; w: (C, D)
-    per-class weights. Expanded into one GEMM plus one Z-batched GEMM so that
-    no (Q, Z, C, D) difference is formed; rounding below zero is clamped.
-    The samples should be `_centre`d first. Returns (Q, Z, C).
+    per-class weights; wps: w * ps, if the caller keeps it. Expanded into one
+    GEMM plus one Z-batched GEMM so that no (Q, Z, C, D) difference is
+    formed; rounding below zero is clamped. The samples should be `_centre`d
+    first. Returns (Q, Z, C).
     """
     Q, Z, D = qs.shape
-    wps = w * ps
+    if wps is None:
+        wps = w * ps
     d2 = ((qs * qs).reshape(Q * Z, D) @ w.T).reshape(Q, Z, -1)
     d2 -= 2.0 * np.matmul(qs.transpose(1, 0, 2), wps.transpose(0, 2, 1)).transpose(1, 0, 2)
     d2 += (wps * ps).sum(axis=-1)
@@ -196,11 +312,14 @@ def _distance_softmax_ce(query_mean: Tensor, query_logvar: Tensor,
 
     psd = np.exp(0.5 * proto_logvar.data)                                  # (C, D)
     qsd = np.exp(0.5 * query_logvar.data)[:, None, :]                      # (Q, 1, D)
-    ps = proto_mean.data + psd * pn                                        # (Z, C, D)
-    qs = query_mean.data[:, None, :] + qsd * qn                            # (Q, Z, D)
+    ps = np.multiply(psd, pn)                                              # (Z, C, D)
+    ps += proto_mean.data
+    qs = np.multiply(qsd, qn)                                              # (Q, Z, D)
+    qs += query_mean.data[:, None, :]
     w = np.ones((C, D)) if weight_logvar is None else np.exp(-weight_logvar)
     _centre(qs, ps)                         # in place: the backward uses the centred samples
-    dist = np.sqrt(_sq_distances(qs, ps, w))                               # (Q, Z, C)
+    wps = w * ps
+    dist = np.sqrt(_sq_distances(qs, ps, w, wps))                          # (Q, Z, C)
     logits = dist * (-1.0 / cfg.tau)
     top = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - top)
@@ -216,14 +335,16 @@ def _distance_softmax_ce(query_mean: Tensor, query_logvar: Tensor,
         h = dlogits * (float(g) / (Q * Z) * (-0.5 / cfg.tau))
         h /= np.maximum(dist, 1e-150)
         h[dist == 0.0] = 0.0
-        g_qs = qs * (h.reshape(Q * Z, C) @ w).reshape(Q, Z, D)
-        g_qs -= np.matmul(h.transpose(1, 0, 2), w * ps).transpose(1, 0, 2)
+        g_qs = (h.reshape(Q * Z, C) @ w).reshape(Q, Z, D)
+        g_qs *= qs
+        g_qs -= np.matmul(h.transpose(1, 0, 2), wps).transpose(1, 0, 2)
         g_qs *= 2.0
         g_ps = np.matmul(h.transpose(1, 2, 0), qs.transpose(1, 0, 2))   # (Z, C, D)
         g_ps -= ps * h.sum(axis=0)[..., None]
         g_ps *= -2.0 * w
         ad._accumulate(query_mean, g_qs.sum(axis=1))
-        ad._accumulate(query_logvar, 0.5 * qsd[:, 0] * (g_qs * qn).sum(axis=1))
+        g_qs *= qn                          # now the log-variance term's
+        ad._accumulate(query_logvar, 0.5 * qsd[:, 0] * g_qs.sum(axis=1))
         ad._accumulate(proto_mean, g_ps.sum(axis=0))
         ad._accumulate(proto_logvar, 0.5 * psd * (g_ps * pn).sum(axis=0))
     return ad._node(loss, (query_mean, query_logvar, proto_mean, proto_logvar), backward)

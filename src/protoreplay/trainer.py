@@ -23,8 +23,8 @@ from .autodiff import Tensor
 from .data import Dataset, Image, ProtocolSchedule, task_test_images, task_train_images
 from .encoder import (EncoderParams, baseline_head, encode_batch, forward, grow_head,
                       init_encoder)
-from .proto import (SamplingConfig, VariationalPrototype, _centre, _sq_distances,
-                    batch_prototype, check_field_types, logvar_match_loss,
+from .proto import (NoiseStream, SamplingConfig, VariationalPrototype, _centre,
+                    _sq_distances, batch_prototype, check_field_types, logvar_match_loss,
                     mixed_classification_loss)
 
 REPLAY_ORDERS = ("forward", "backward", "current_only")
@@ -78,7 +78,7 @@ class TrainingState:
     encoder: EncoderParams
     memory: mem.EpisodicMemory
     rng: np.random.Generator
-    noise: np.random.Generator
+    noise: NoiseStream
     current_task: int = 0
     classes_seen: Dict[int, int] = field(default_factory=dict)  # class -> intro task
 
@@ -88,7 +88,7 @@ def make_state(encoder: EncoderParams, cfg: TrainerConfig) -> TrainingState:
         encoder=encoder,
         memory=mem.EpisodicMemory(budget_elements=cfg.budget_elements),
         rng=np.random.default_rng([cfg.seed, 1]),
-        noise=np.random.default_rng([cfg.seed, 2]),
+        noise=NoiseStream(np.random.default_rng([cfg.seed, 2])),
     )
 
 
@@ -217,55 +217,60 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
                 targets = _zeroed_logvars(stored) if cfg.recall == "mean_only" else stored
                 replay_terms.append((targets, rows, [exemplars[r].label for r in rows]))
 
-    for epoch in range(cfg.epochs_per_task):
-        chunks: Dict[int, List[List[Image]]] = {}
-        n_batches = 0
-        for c in new_classes:
-            imgs = by_class[c]
-            order = state.rng.permutation(len(imgs))
-            shuffled = [imgs[i] for i in order]
-            chunks[c] = [shuffled[i:i + cfg.batch_per_class]
-                         for i in range(0, len(shuffled), cfg.batch_per_class)]
-            n_batches = max(n_batches, len(chunks[c]))
-
-        for b in range(n_batches):
-            # one encoder pass: each class's support then query images, then
-            # the exemplar block
-            images: List[Image] = []
-            splits = []                   # (class, support rows, query rows)
+    # the noise is drawn ahead while the steps compute; every loss gets the
+    # same normals as from the plain generator
+    with state.noise.ahead():
+        for epoch in range(cfg.epochs_per_task):
+            chunks: Dict[int, List[List[Image]]] = {}
+            n_batches = 0
             for c in new_classes:
-                if b >= len(chunks[c]) or len(chunks[c][b]) < 2:
-                    continue
-                support, query = split_support_query(
-                    chunks[c][b], cfg.support_fraction, state.rng)
-                n = len(images)
-                images += support + query
-                splits.append((c, range(n, n + len(support)),
-                               range(n + len(support), len(images))))
-            if not splits:
-                continue
-            mean, logvar = _encode_images(state.encoder, images + exemplars)
+                imgs = by_class[c]
+                order = state.rng.permutation(len(imgs))
+                shuffled = [imgs[i] for i in order]
+                chunks[c] = [shuffled[i:i + cfg.batch_per_class]
+                             for i in range(0, len(shuffled), cfg.batch_per_class)]
+                n_batches = max(n_batches, len(chunks[c]))
 
-            online = [batch_prototype(task_id, c, mean, logvar, s) for c, s, _ in splits]
-            rows = [r for _, _, q in splits for r in q]
-            labels = [c for c, _, q in splits for _ in q]
-            loss = mixed_classification_loss(ad.take_rows(mean, rows),
-                                             ad.take_rows(logvar, rows), labels,
-                                             online, old_protos, scfg, state.noise)
-            replay_sum = None
-            for targets, ex_rows, ex_labels in replay_terms:
-                rows = [len(images) + r for r in ex_rows]
-                if cfg.recall == "var_only":
-                    term = logvar_match_loss(ad.take_rows(logvar, rows), ex_labels, targets)
-                else:
-                    term = mixed_classification_loss(
-                        ad.take_rows(mean, rows), ad.take_rows(logvar, rows), ex_labels,
-                        [], targets, scfg, state.noise)
-                replay_sum = term if replay_sum is None else ad.add(replay_sum, term)
-            if replay_sum is not None:
-                loss = ad.add(loss, ad.scale(replay_sum, cfg.replay_weight))
-            _sgd_update(state.encoder, loss, cfg.learning_rate, task_id,
-                        epoch, cfg.epochs_per_task, b, n_batches)
+            for b in range(n_batches):
+                # one encoder pass: each class's support then query images, then
+                # the exemplar block
+                images: List[Image] = []
+                splits = []                   # (class, support rows, query rows)
+                for c in new_classes:
+                    if b >= len(chunks[c]) or len(chunks[c][b]) < 2:
+                        continue
+                    support, query = split_support_query(
+                        chunks[c][b], cfg.support_fraction, state.rng)
+                    n = len(images)
+                    images += support + query
+                    splits.append((c, range(n, n + len(support)),
+                                   range(n + len(support), len(images))))
+                if not splits:
+                    continue
+                mean, logvar = _encode_images(state.encoder, images + exemplars)
+
+                online = [batch_prototype(task_id, c, mean, logvar, s)
+                          for c, s, _ in splits]
+                rows = [r for _, _, q in splits for r in q]
+                labels = [c for c, _, q in splits for _ in q]
+                loss = mixed_classification_loss(ad.take_rows(mean, rows),
+                                                 ad.take_rows(logvar, rows), labels,
+                                                 online, old_protos, scfg, state.noise)
+                replay_sum = None
+                for targets, ex_rows, ex_labels in replay_terms:
+                    rows = [len(images) + r for r in ex_rows]
+                    if cfg.recall == "var_only":
+                        term = logvar_match_loss(ad.take_rows(logvar, rows), ex_labels,
+                                                 targets)
+                    else:
+                        term = mixed_classification_loss(
+                            ad.take_rows(mean, rows), ad.take_rows(logvar, rows), ex_labels,
+                            [], targets, scfg, state.noise)
+                    replay_sum = term if replay_sum is None else ad.add(replay_sum, term)
+                if replay_sum is not None:
+                    loss = ad.add(loss, ad.scale(replay_sum, cfg.replay_weight))
+                _sgd_update(state.encoder, loss, cfg.learning_rate, task_id,
+                            epoch, cfg.epochs_per_task, b, n_batches)
 
     # End of task: freeze prototypes, all groups from one encoder pass. The
     # new classes' prototypes come from the full task data. Old-class ones

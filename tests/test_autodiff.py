@@ -1,5 +1,6 @@
 """Tensor autodiff: forward examples, backward rules, finite differences."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -236,6 +237,57 @@ def test_maxpool2x2_routes_ties_like_argmax_reference():
     _, gx = _maxpool2x2_reference(late, np.ones((1, 1, 1, 3)))
     assert gx.reshape(2, 3, 2).transpose(1, 0, 2).reshape(3, 4).tolist() == [
         [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
+
+
+def _maxpool2x2_corner_scan_gradient(x, g):
+    """The gradient of sum(g * maxpool2x2(x)) routed by comparing each corner
+    with the output in row-major order, first match wins."""
+    B, C, H, W = x.shape
+    xr = x.reshape(B, C, H // 2, 2, W // 2, 2)
+    corners = ((0, 0), (0, 1), (1, 0), (1, 1))
+    quads = [xr[:, :, :, i, :, j] for i, j in corners]
+    out = np.maximum(np.maximum(quads[0], quads[1]), np.maximum(quads[2], quads[3]))
+    gx = np.zeros(xr.shape)
+    free = np.ones(out.shape, dtype=bool)
+    for (i, j), q in zip(corners, quads):
+        hit = (q == out) & free
+        np.copyto(gx[:, :, :, i, :, j], g, where=hit)
+        free ^= hit
+    return gx.reshape(x.shape)
+
+
+def test_maxpool2x2_gradient_bits_match_corner_scan():
+    rng = np.random.default_rng(11)
+    for x in (np.maximum(rng.standard_normal((3, 4, 8, 8)), 0.0),
+              rng.integers(-1, 2, (2, 3, 6, 6)).astype(float),
+              rng.standard_normal((2, 2, 4, 6))):
+        g = rng.standard_normal((x.shape[0], x.shape[1], x.shape[2] // 2, x.shape[3] // 2))
+        g.flat[:4] = [-0.0, np.nan, np.inf, -np.inf]
+        t = Tensor(x, requires_grad=True)
+        ad.maxpool2x2(t)._backward(g)
+        want = np.zeros(x.shape)
+        want += _maxpool2x2_corner_scan_gradient(x, g)   # as _accumulate adds it
+        assert t.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("op", [ad.relu, lambda t: ad.clip(t, -0.5, 0.5)])
+def test_untracked_relu_and_clip_allocate_no_mask(op):
+    x = Tensor(np.random.default_rng(5).standard_normal((500, 1000)), requires_grad=True)
+
+    def peak(track):
+        tracemalloc.start()
+        try:
+            if track:
+                out = op(x)
+            else:
+                with ad.no_grad():
+                    out = op(x)
+            return tracemalloc.get_traced_memory()[1] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+    # a boolean mask is one byte per element
+    assert peak(track=True) >= x.size
+    assert peak(track=False) < x.size // 8
 
 
 def test_backward_linearity():

@@ -273,3 +273,27 @@ def test_malformed_csv_input_exits_two_naming_the_file(tmp_path, capsys, args, b
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: {tmp_path / bad}" in err and fragment in err
+
+
+@pytest.mark.parametrize("history, basis, fragment", [
+    (["task_id,class_id,m0,m1,m2"], None, "no prototype records"),
+    (["task_id,class_id,m0,m1,m2", "1,0,1.0,0.0,0.0", "1,1,0.0,1.0"], None,
+     "row 3: mean of 2 values, but the first record's has 3"),
+    (["task_id,class_id,m0,m1", "1,0,1.0,0.0", "1,1,0.0,1.0"],
+     ["1,0,0", "0,1,0", "0,0,1", "1,1,2"], "rows of 3 values, but the means in"),
+    (["task_id,class_id,m0,m1,m2", "1,0,1.0,0.0,0.0", "1,1,0.0,1.0,0.0"], None,
+     "need rank >= 3"),
+])
+def test_dynamics_malformed_history_exits_two_naming_the_file(tmp_path, capsys, history,
+                                                              basis, fragment):
+    path = tmp_path / "history.csv"
+    path.write_text("\n".join(history) + "\n")
+    argv = ["dynamics", "--history", str(path), "--out", str(tmp_path / "o")]
+    named = path
+    if basis is not None:
+        named = tmp_path / "basis.csv"
+        named.write_text("\n".join(basis) + "\n")
+        argv += ["--basis", str(named)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named}" in err and fragment in err

@@ -1,16 +1,20 @@
 """Prototype math: averaging, sampling, distances, posteriors, losses."""
 
+import contextlib
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import protoreplay.autodiff as ad
 from protoreplay.autodiff import Tensor
-from protoreplay.proto import (LatentSample, SamplingConfig,
+from protoreplay.proto import (LatentSample, NoiseStream, SamplingConfig,
                                VariationalEmbedding, VariationalPrototype,
                                class_posterior, classification_loss,
                                compute_prototype, logvar_match_loss,
@@ -566,3 +570,69 @@ def test_coincident_samples_give_finite_small_gradients(C, D, Z):
 def test_validation_errors_name_the_problem(make, fragment):
     with pytest.raises(ValueError, match=fragment):
         make()
+
+
+# ---------------------------------------------------------------------------
+# NoiseStream: draws ahead on a second thread, same values as the Generator
+
+def _producers():
+    return [t for t in threading.enumerate() if t.name == "noise-ahead"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(block=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       steps=st.lists(st.tuples(st.lists(st.integers(1, 9), min_size=0, max_size=3),
+                                st.booleans()), max_size=12))
+def test_noise_stream_gives_the_generators_values(monkeypatch, block, seed, steps):
+    # each step toggles ahead() on or off, then requests one shape; a small
+    # block makes requests span blocks and stop inside one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    stream = NoiseStream(np.random.default_rng(seed))
+    stream.BLOCK = block
+    plain = np.random.default_rng(seed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)                     # interleave the two threads often
+    try:
+        with contextlib.ExitStack() as stack:
+            inside = False
+            for shape, toggle in steps:
+                if toggle and inside:
+                    stack.close()
+                elif toggle:
+                    stack.enter_context(stream.ahead())
+                    assert len(_producers()) == 1
+                inside ^= toggle
+                got = stream.standard_normal(tuple(shape))
+                assert got.shape == tuple(shape)
+                assert got.tobytes() == plain.standard_normal(tuple(shape)).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    # left ahead(): the unread draws went back to the generator
+    assert not _producers() and stream._blocks == 0
+    assert stream.standard_normal(5).tobytes() == plain.standard_normal(5).tobytes()
+
+
+def test_noise_stream_on_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    stream, plain = NoiseStream(np.random.default_rng(3)), np.random.default_rng(3)
+    with stream.ahead():
+        assert not _producers()
+        got = [stream.standard_normal(s) for s in ((4, 70000), (3,), (2, 5, 7))]
+        assert stream._blocks == 0
+    for g, s in zip(got, ((4, 70000), (3,), (2, 5, 7))):
+        assert g.tobytes() == plain.standard_normal(s).tobytes()
+
+
+def test_noise_stream_nested_ahead_adds_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    stream, plain = NoiseStream(np.random.default_rng(9)), np.random.default_rng(9)
+    with stream.ahead():
+        first = stream.standard_normal(100000)
+        with stream.ahead():
+            assert len(_producers()) == 1
+            second = stream.standard_normal(10)
+        assert len(_producers()) == 1
+    assert not _producers()
+    assert first.tobytes() == plain.standard_normal(100000).tobytes()
+    assert second.tobytes() == plain.standard_normal(10).tobytes()

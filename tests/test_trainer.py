@@ -1,5 +1,8 @@
 """Training loop, SGD, evaluation rules, and the fine-tuning baselines."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,8 @@ from protoreplay.data import (Image, incremental_class_plan, permuted_protocol,
                               split_protocol, synthetic_blobs,
                               task_test_images, task_train_images)
 from protoreplay.encoder import encode_batch, init_encoder, reference_architecture
-from protoreplay.proto import SamplingConfig, VariationalPrototype
+from protoreplay.proto import (NoiseStream, SamplingConfig, VariationalPrototype,
+                               mixed_classification_loss)
 from protoreplay.trainer import (TrainerConfig, _replay_task_order, evaluate,
                                  make_state, run_continual, sgd_step,
                                  split_support_query, train_baseline,
@@ -165,6 +169,44 @@ def test_train_task_stops_on_non_finite_loss():
     with pytest.raises(FloatingPointError,
                        match=r"non-finite loss nan at task 1, epoch 1/5, batch 1/1"):
         train_task(state, 1, imgs, cfg)
+
+
+def _producers():
+    return [t for t in threading.enumerate() if t.name == "noise-ahead"]
+
+
+def test_train_task_joins_the_noise_producer_on_a_non_finite_loss(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    running = []
+
+    def loss(*args, **kwargs):
+        running.append(len(_producers()))
+        return mixed_classification_loss(*args, **kwargs)
+    monkeypatch.setattr(trainer, "mixed_classification_loss", loss)
+    ds = synthetic_blobs(2, 8, 6, 4, 2.0, seed=0)
+    cfg = small_cfg()
+    state = make_state(init_encoder(small_arch(), latent_dim=4, seed=0), cfg)
+    imgs = [Image(img.pixels.copy(), img.label, img.task, img.index) for img in ds.train]
+    imgs[3].pixels[0, 0, 5] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite loss"):
+        train_task(state, 1, imgs, cfg)
+    assert running == [1] and not _producers()
+
+
+def test_run_continual_same_with_noise_drawn_ahead_or_inline(monkeypatch):
+    ds = synthetic_blobs(4, 8, 8, 6, separation=3.0, seed=1)
+    schedule = split_protocol(ds, incremental_class_plan(4, 2, 1, 8), seed=0)
+    cfg = small_cfg(epochs_per_task=3, sampling=SamplingConfig(Z=50, tau=1.0, D=200))
+    monkeypatch.setattr(NoiseStream, "BLOCK", 1000)   # requests span several blocks
+
+    def run(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        matrix, state = run_continual(ds, schedule, small_arch(latent_dim=200), 200, cfg)
+        history = state.memory.prototype_history
+        return matrix.rows, [(k, history[k].mean.data.tobytes(),
+                              history[k].logvar.data.tobytes()) for k in sorted(history)]
+
+    assert run(cpus=2) == run(cpus=1)
 
 
 def _inf_in_backward(loss_fn):
