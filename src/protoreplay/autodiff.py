@@ -389,31 +389,61 @@ def maxpool2x2(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# generic dispatch + gradient checking
+# the op table, its gradient-check cases, and gradient checking
 
-_OPS = {
-    "matmul": lambda inputs, attrs: matmul(*inputs),
-    "conv2d": lambda inputs, attrs: conv2d(inputs[0], inputs[1],
-                                           padding=attrs.get("padding", 0)),
-    "maxpool2x2": lambda inputs, attrs: maxpool2x2(inputs[0]),
-    "relu": lambda inputs, attrs: relu(inputs[0]),
-    "add": lambda inputs, attrs: add(*inputs),
-    "sub": lambda inputs, attrs: sub(*inputs),
-    "elementwise_mul": lambda inputs, attrs: mul(*inputs),
-    "exp": lambda inputs, attrs: exp(inputs[0]),
-    "scale": lambda inputs, attrs: scale(inputs[0], attrs["alpha"]),
-    "sum": lambda inputs, attrs: tsum(inputs[0], axis=attrs.get("axis")),
-    "mean_over_axis": lambda inputs, attrs: mean_over_axis(inputs[0], attrs["axis"]),
-    "square": lambda inputs, attrs: square(inputs[0]),
-    "sqrt": lambda inputs, attrs: sqrt(inputs[0]),
+# kind -> op for forward_op and the gradient suite; the engine calls ops as attributes
+OPS = {
+    "matmul": matmul, "conv2d": conv2d, "maxpool2x2": maxpool2x2, "relu": relu,
+    "add": add, "sub": sub, "elementwise_mul": mul, "exp": exp, "log": log,
+    "scale": scale, "square": square, "sqrt": sqrt, "clip": clip,
+    "sum": tsum, "mean_over_axis": mean_over_axis, "reshape": reshape,
+    "narrow": narrow, "stack": lambda *tensors, axis=0: stack(tensors, axis),
+    "take_rows": take_rows, "take_class": take_class, "logsumexp": logsumexp,
 }
+
+# (label, kind, attrs, input shapes, input range). check_case differentiates
+# sum(square(op(inputs))), so each backward gets a gradient that is not all ones.
+GRAD_CASES = [
+    ("matmul", "matmul", {}, [(3, 4), (4, 2)], (-1, 1)),
+    ("conv2d", "conv2d", {"padding": 1}, [(1, 2, 4, 4), (3, 2, 3, 3)], (-1, 1)),
+    ("conv2d k=5 pad=2", "conv2d", {"padding": 2}, [(2, 3, 6, 6), (4, 3, 5, 5)], (-1, 1)),
+    ("maxpool2x2", "maxpool2x2", {}, [(1, 2, 4, 4)], (-1, 1)),
+    ("relu", "relu", {}, [(7,)], (-1, 1)),
+    ("add", "add", {}, [(3, 4), (4,)], (-1, 1)),
+    ("sub", "sub", {}, [(3, 4), (3, 1)], (-1, 1)),
+    ("elementwise_mul", "elementwise_mul", {}, [(2, 3), (2, 3)], (-1, 1)),
+    ("exp", "exp", {}, [(4,)], (-1, 1)),
+    ("log", "log", {}, [(4,)], (0.5, 1.5)),
+    ("scale", "scale", {"alpha": 2.5}, [(4,)], (-1, 1)),
+    ("square", "square", {}, [(4,)], (-1, 1)),
+    ("sqrt", "sqrt", {}, [(4,)], (0.5, 1.5)),
+    ("clip", "clip", {"lo": -0.5, "hi": 0.5}, [(7,)], (-1, 1)),
+    ("sum", "sum", {}, [(3, 3)], (-1, 1)),
+    ("mean_over_axis", "mean_over_axis", {"axis": 0, "keepdims": True}, [(3, 3)], (-1, 1)),
+    ("reshape", "reshape", {"shape": (2, 6)}, [(3, 4)], (-1, 1)),
+    ("narrow", "narrow", {"axis": 1, "start": 1, "length": 2}, [(3, 4)], (-1, 1)),
+    ("narrow axis -1", "narrow", {"axis": -1, "start": 1, "length": 2}, [(2, 3, 3)], (-1, 1)),
+    ("stack", "stack", {}, [(4,), (4,)], (-1, 1)),
+    ("take_rows", "take_rows", {"rows": [2, 0, 2, 1, 2]}, [(3, 2)], (-1, 1)),
+    ("take_class", "take_class", {"labels": [2, 0, 2]}, [(3, 2, 4)], (-1, 1)),
+    ("logsumexp", "logsumexp", {"axis": -1}, [(3, 4)], (-1, 1)),
+]
 
 
 def forward_op(kind: str, inputs, attrs=None) -> Tensor:
-    """Apply a named operation; the dispatch table is the supported op set."""
-    if kind not in _OPS:
+    """Apply ``OPS[kind]`` with ``attrs`` as keyword arguments; an attr the
+    op does not take raises a TypeError."""
+    if kind not in OPS:
         raise ValueError(f"unknown operation kind {kind!r}")
-    return _OPS[kind](list(inputs), attrs or {})
+    return OPS[kind](*inputs, **(attrs or {}))
+
+
+def check_case(case, epsilon: float = 1e-5) -> float:
+    """grad_check of one GRAD_CASES entry, on inputs drawn from seed 0."""
+    _, kind, attrs, shapes, (lo, hi) = case
+    rng = np.random.default_rng(0)
+    return grad_check(lambda *xs: tsum(square(forward_op(kind, xs, attrs))),
+                      [Tensor(rng.uniform(lo, hi, s)) for s in shapes], epsilon)
 
 
 def grad_check(f, points, epsilon: float = 1e-5) -> float:

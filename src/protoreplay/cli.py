@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,11 +28,12 @@ from . import autodiff as ad
 from .analysis import (AccuracyMatrix, PrototypeHistoryLog, motion_similarity,
                        pca_fit, prototype_trajectories, read_csv, summarize, write_csv)
 from .autodiff import Tensor, grad_check
-from .data import (Dataset, incremental_class_plan, load_idx, permuted_protocol,
+from .data import (Dataset, Image, incremental_class_plan, load_idx, permuted_protocol,
                    split_protocol, synthetic_blobs, task_train_images)
-from .encoder import init_encoder, param_count, reference_architecture, baseline_head
+from .encoder import (LayerSpec, baseline_head, encode_batch, init_encoder,
+                      reference_architecture)
 from .memory import EpisodicMemory, memory_footprint, save_memory
-from .proto import (SamplingConfig, VariationalPrototype, batch_prototype,
+from .proto import (SamplingConfig, VariationalPrototype, batch_prototype, check_type,
                     mixed_classification_loss)
 from .trainer import TrainerConfig, run_continual, _encode_images
 
@@ -49,19 +52,20 @@ def _load_config(path) -> dict:
         raise UsageError(f"malformed JSON in {path}: {exc}")
 
 
-def _build_dataset(cfg: dict) -> Dataset:
+def _build_dataset(cfg: "_Section") -> Dataset:
     kind = cfg.get("kind", "synthetic")
     if kind == "synthetic":
+        count = lambda key: cfg.number(key, Integral, least=1)
         return synthetic_blobs(
-            num_classes=cfg["num_classes"], dim=cfg["dim"],
-            per_class_train=cfg["per_class_train"],
-            per_class_test=cfg["per_class_test"],
-            separation=cfg["separation"], seed=cfg.get("seed", 0),
-            noise=cfg.get("noise", 1.0))
+            num_classes=count("num_classes"), dim=count("dim"),
+            per_class_train=count("per_class_train"),
+            per_class_test=count("per_class_test"),
+            separation=cfg.number("separation", Real), seed=cfg.number("seed", Integral, 0),
+            noise=cfg.number("noise", Real, 1.0))
     if kind == "idx":
         train = load_idx(cfg["train_images"], cfg["train_labels"])
         test = load_idx(cfg["test_images"], cfg["test_labels"])
-        subset = cfg.get("subset")
+        subset = cfg.number("subset", Integral, least=1) if "subset" in cfg else None
         if subset:
             train = train[:subset]
             test = test[:subset]
@@ -74,18 +78,17 @@ def _build_dataset(cfg: dict) -> Dataset:
     raise UsageError(f"unknown dataset kind {kind!r}")
 
 
-def _build_schedule(protocol: str, schedule_cfg: dict, dataset: Dataset, seed: int):
+def _build_schedule(protocol: str, schedule_cfg: "_Section", dataset: Dataset, seed: int):
+    count = lambda key, default, least=1: schedule_cfg.number(key, Integral, default, least)
     if protocol == "incremental_domain":
-        return permuted_protocol(dataset, schedule_cfg.get("num_tasks", 5), seed)
+        return permuted_protocol(dataset, count("num_tasks", 5), seed)
     if protocol == "incremental_class":
+        # a quota of 0 leaves a task without images, which train_task names
+        quota = count("quota", 10, least=0)
         if "kind" in schedule_cfg:
-            return split_protocol(dataset, schedule_cfg["kind"],
-                                  schedule_cfg.get("quota", 10), seed)
-        plan = incremental_class_plan(
-            dataset.num_classes,
-            schedule_cfg.get("first_task_classes", 2),
-            schedule_cfg.get("classes_per_task", 1),
-            schedule_cfg.get("quota", 10))
+            return split_protocol(dataset, schedule_cfg["kind"], quota, seed)
+        plan = incremental_class_plan(dataset.num_classes, count("first_task_classes", 2),
+                                      count("classes_per_task", 1), quota)
         return split_protocol(dataset, plan, seed=seed)
     raise UsageError(f"unknown protocol {protocol!r}")
 
@@ -108,11 +111,24 @@ class _Section(dict):
 
     def __getitem__(self, key):
         self.read.add(key)
+        if key not in self:
+            raise UsageError(f"{self.where}.{key} is required")
         return super().__getitem__(key)
 
     def get(self, key, default=None):
         self.read.add(key)
         return super().get(key, default)
+
+    def number(self, key, kind, default=None, least=None):
+        """``key``'s value, checked to be a ``kind`` (Integral or Real) and at
+        least ``least``; a missing key takes ``default``, or is an error
+        when there is none."""
+        name = f"{self.where}.{key}"
+        value = self[key] if default is None else self.get(key, default)
+        check_type(name, value, kind)
+        if least is not None and value < least:
+            raise UsageError(f"{name} must be >= {least}, got {value}")
+        return value
 
     def section(self, key) -> "_Section":
         part = _Section(self.get(key, {}), key)
@@ -157,7 +173,6 @@ def _save_encoder(params, path):
 
 
 def cmd_run(args) -> int:
-    import os
     cfg = _Section(_load_config(args.config), "config")
     tcfg = _trainer_config(cfg)
     dataset = _build_dataset(cfg.section("dataset"))
@@ -234,7 +249,6 @@ def cmd_footprint(args) -> int:
     params = init_encoder(layers, args.latent_dim or 500, seed=0, zero=True)
     memory = EpisodicMemory()
     if args.mode == "ours" and args.exemplars:
-        from .data import Image
         shape = tuple(int(v) for v in args.exemplar_shape.split(","))
         D = args.latent_dim or 500
         for c in range(args.exemplars):
@@ -274,7 +288,6 @@ def _read_matrix_csv(path) -> np.ndarray:
 
 
 def cmd_dynamics(args) -> int:
-    import os
     log = PrototypeHistoryLog.from_csv(args.history)
     if args.basis:
         vectors = _read_matrix_csv(args.basis)
@@ -308,55 +321,22 @@ def cmd_dynamics(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(0)
-    tol = 1e-4
-    failures = []
-
-    def check(name, f, points):
-        err = grad_check(f, points, epsilon=1e-5)
-        status = "ok" if err < tol else "FAIL"
-        print(f"{name:<26s} max relative error {err:.3e}  {status}")
-        if err >= tol:
-            failures.append(name)
-
-    u = lambda *s: Tensor(rng.uniform(-1, 1, s))
-    check("matmul", lambda a, b: ad.tsum(ad.matmul(a, b)), [u(3, 4), u(4, 2)])
-    check("conv2d", lambda x, w: ad.tsum(ad.conv2d(x, w, padding=1)),
-          [u(1, 2, 4, 4), u(3, 2, 3, 3)])
-    check("maxpool2x2", lambda x: ad.tsum(ad.maxpool2x2(x)), [u(1, 2, 4, 4)])
-    check("conv2d k=5 pad=2", lambda x, w: ad.tsum(ad.square(ad.conv2d(x, w, padding=2))),
-          [u(2, 3, 6, 6), u(4, 3, 5, 5)])
+    errors = {case[0]: ad.check_case(case) for case in ad.GRAD_CASES}
     # as in the encoder, pooling follows a ReLU: a block with no positive
     # input ties all four corners at zero, and the ReLU passes no gradient
     # back from there, which keeps the central differences exact
-    check("maxpool2x2 tied maxima", lambda x: ad.tsum(ad.maxpool2x2(ad.relu(x))),
-          [Tensor(rng.uniform(-1, 0.5, (1, 2, 6, 6)))])
-    check("relu", lambda x: ad.tsum(ad.relu(x)), [u(5)])
-    check("add", lambda a, b: ad.tsum(ad.add(a, b)), [u(4), u(4)])
-    check("sub", lambda a, b: ad.tsum(ad.sub(a, b)), [u(4), u(4)])
-    check("elementwise_mul", lambda a, b: ad.tsum(ad.mul(a, b)), [u(4), u(4)])
-    check("exp", lambda x: ad.tsum(ad.exp(x)), [u(4)])
-    check("scale", lambda x: ad.tsum(ad.scale(x, 2.5)), [u(4)])
-    check("sum", lambda x: ad.tsum(x), [u(3, 3)])
-    check("mean_over_axis", lambda x: ad.tsum(ad.mean_over_axis(x, 0)), [u(3, 3)])
-    check("square", lambda x: ad.tsum(ad.square(x)), [u(4)])
-    check("sqrt", lambda x: ad.tsum(ad.sqrt(x)),
-          [Tensor(rng.uniform(0.5, 1.5, 4))])
-
-    check("take_rows", lambda x: ad.tsum(ad.square(ad.take_rows(x, [2, 0, 2, 1, 2]))),
-          [u(3, 2)])
+    errors["maxpool2x2 tied maxima"] = grad_check(lambda x: ad.tsum(ad.maxpool2x2(ad.relu(x))),
+                                                  Tensor(rng.uniform(-1, 0.5, (1, 2, 6, 6))))
 
     # end-to-end losses on one encoded toy batch: rows 0-3 hold classes
     # 0, 0, 1, 1; rows 4-5 hold classes 2, 3, which only stored prototypes cover
-    from .encoder import LayerSpec, encode_batch, init_encoder
-
     layers = [LayerSpec("flatten"), LayerSpec("fullyconnected", (6, 8)),
               LayerSpec("relu"), LayerSpec("fullyconnected", (8, 4))]
     params = init_encoder(layers, latent_dim=2, seed=1)
     pixels = rng.uniform(0, 1, (6, 1, 1, 6))
     scfg = SamplingConfig(Z=3, tau=1.0, D=2)
     stored = [VariationalPrototype(1, c, Tensor(rng.uniform(-1, 1, 2)),
-                                   Tensor(rng.uniform(-0.5, 0.5, 2)))
-              for c in (0, 1, 2, 3)]
+                                   Tensor(rng.uniform(-0.5, 0.5, 2))) for c in range(4)]
 
     # (name, (class, row) of each online prototype's support, (class, row)
     # of each query, frozen prototypes, noise seed)
@@ -372,8 +352,11 @@ def cmd_gradcheck(args) -> int:
             return mixed_classification_loss(
                 ad.take_rows(mean, rows), ad.take_rows(logvar, rows), [c for c, _ in queries],
                 online, frozen, scfg, np.random.default_rng(seed))
-        check(name, loss, params.parameters())
+        errors[name] = grad_check(loss, params.parameters())
 
+    failures = [name for name, err in errors.items() if err >= 1e-4]
+    for name, err in errors.items():
+        print(f"{name:<26s} max relative error {err:.3e}  {'FAIL' if name in failures else 'ok'}")
     if failures:
         print(f"gradient check failed for: {', '.join(failures)}", file=sys.stderr)
         return 1

@@ -202,6 +202,9 @@ def incremental_class_plan(num_classes: int, first_task_classes: int,
                            classes_per_task: int, quota: int):
     """Custom plan helper: first task gets ``first_task_classes``, then
     ``classes_per_task`` new classes per task until exhausted."""
+    if first_task_classes < 1 or classes_per_task < 1:
+        raise ValueError(f"first_task_classes and classes_per_task must be >= 1, "
+                         f"got {first_task_classes} and {classes_per_task}")
     plan = [(list(range(first_task_classes)), quota)]
     c = first_task_classes
     while c < num_classes:

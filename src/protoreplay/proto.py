@@ -31,15 +31,20 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
+def check_type(name: str, value, kind):
+    """Raise a ValueError naming ``name`` unless ``value`` is a ``kind``,
+    numbers.Integral or numbers.Real; bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 def check_field_types(config, counts, rates):
-    """Raise a ValueError naming the first field in ``counts`` that is not an
-    integer, or in ``rates`` that is not a real number; bool is neither."""
-    for names, kind, what in ((counts, numbers.Integral, "an integer"),
-                              (rates, numbers.Real, "a real number")):
+    """check_type on each field of ``config`` named in ``counts`` (integers)
+    or ``rates`` (real numbers), in that order."""
+    for names, kind in ((counts, numbers.Integral), (rates, numbers.Real)):
         for name in names:
-            value = getattr(config, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
+            check_type(name, getattr(config, name), kind)
 
 
 class NoiseStream:

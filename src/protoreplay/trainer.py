@@ -68,8 +68,7 @@ class TrainerConfig:
             raise ValueError(f"recall must be one of {RECALL_MODES}")
 
     def effective_sampling(self) -> SamplingConfig:
-        weighted = self.sampling.weighted and not self.unweighted_distance \
-            and self.recall != "mean_only"
+        weighted = self.sampling.weighted and not self.unweighted_distance
         return replace(self.sampling, weighted=weighted)
 
 

@@ -1,7 +1,6 @@
 """Tensor autodiff: forward examples, backward rules, finite differences."""
 
 import tracemalloc
-import zlib
 
 import numpy as np
 import pytest
@@ -9,43 +8,38 @@ import pytest
 import protoreplay.autodiff as ad
 from protoreplay.autodiff import ShapeError, Tensor, forward_op, grad_check
 
-KINDS = ["matmul", "conv2d", "maxpool2x2", "relu", "add", "sub",
-         "elementwise_mul", "exp", "scale", "sum", "mean_over_axis",
-         "square", "sqrt"]
-
-
 def test_forward_op_dispatch_covers_contracted_kinds():
-    for kind in KINDS:
-        rng = np.random.default_rng(0)
-        if kind == "matmul":
-            out = forward_op(kind, [Tensor(rng.uniform(size=(2, 3))),
-                                    Tensor(rng.uniform(size=(3, 2)))])
-            assert out.shape == (2, 2)
-        elif kind == "conv2d":
-            out = forward_op(kind, [Tensor(rng.uniform(size=(1, 1, 4, 4))),
-                                    Tensor(rng.uniform(size=(1, 1, 3, 3)))],
-                             {"padding": 0})
-            assert out.shape == (1, 1, 2, 2)
-        elif kind == "maxpool2x2":
-            out = forward_op(kind, [Tensor(rng.uniform(size=(1, 1, 4, 4)))])
-            assert out.shape == (1, 1, 2, 2)
-        elif kind in ("add", "sub", "elementwise_mul"):
-            out = forward_op(kind, [Tensor(np.ones(3)), Tensor(np.ones(3))])
-            assert out.shape == (3,)
-        elif kind == "scale":
-            out = forward_op(kind, [Tensor(np.ones(3))], {"alpha": 2.0})
-            assert np.allclose(out.data, 2.0)
-        elif kind == "mean_over_axis":
-            out = forward_op(kind, [Tensor(np.ones((2, 3)))], {"axis": 0})
-            assert out.shape == (3,)
-        elif kind == "sum":
-            out = forward_op(kind, [Tensor(np.ones((2, 3)))])
-            assert out.item() == 6.0
-        else:
-            out = forward_op(kind, [Tensor(np.full(3, 0.5))])
-            assert out.shape == (3,)
+    rng = np.random.default_rng(0)
+    u = lambda *shape: Tensor(rng.uniform(size=shape))
+    ones = Tensor(np.ones((2, 3)))
+    for kind, inputs, attrs, shape in [
+            ("matmul", [u(2, 3), u(3, 2)], {}, (2, 2)),
+            ("conv2d", [u(1, 1, 4, 4), u(1, 1, 3, 3)], {"padding": 0}, (1, 1, 2, 2)),
+            ("maxpool2x2", [u(1, 1, 4, 4)], {}, (1, 1, 2, 2)),
+            ("relu", [u(3)], {}, (3,)), ("exp", [u(3)], {}, (3,)),
+            ("add", [u(3), u(3)], {}, (3,)), ("sub", [u(3), u(3)], {}, (3,)),
+            ("elementwise_mul", [u(3), u(3)], {}, (3,)),
+            ("square", [u(3)], {}, (3,)), ("sqrt", [u(3)], {}, (3,)),
+            ("mean_over_axis", [ones], {"axis": 0}, (3,))]:
+        assert forward_op(kind, inputs, attrs).shape == shape
+    assert np.array_equal(forward_op("scale", [ones], {"alpha": 2.0}).data, np.full((2, 3), 2.0))
+    assert forward_op("sum", [ones]).item() == 6.0
     with pytest.raises(ValueError):
         forward_op("transpose", [Tensor(np.ones(2))])
+
+
+def test_forward_op_honours_attrs():
+    out = forward_op("sum", [Tensor(np.ones((2, 3)))], {"axis": 0, "keepdims": True})
+    assert out.shape == (1, 3)
+
+
+@pytest.mark.parametrize("kind, inputs, attrs", [
+    ("matmul", [Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))], {"padding": 3}),
+    ("sum", [Tensor(np.ones((2, 3)))], {"axis": 0, "keepdim": True}),
+])
+def test_forward_op_rejects_an_attr_the_op_does_not_take(kind, inputs, attrs):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        forward_op(kind, inputs, attrs)
 
 
 def test_conv2d_all_ones_example():
@@ -107,44 +101,20 @@ def test_gradcheck_rejects_non_scalar():
         grad_check(lambda x: ad.square(x), Tensor(np.ones(3)))
 
 
-@pytest.mark.parametrize("name,f,shapes", [
-    ("matmul", lambda a, b: ad.tsum(ad.matmul(a, b)), [(3, 4), (4, 2)]),
-    ("conv2d", lambda x, w: ad.tsum(ad.conv2d(x, w, padding=1)),
-     [(1, 2, 4, 4), (3, 2, 3, 3)]),
-    ("maxpool2x2", lambda x: ad.tsum(ad.maxpool2x2(x)), [(1, 2, 4, 4)]),
-    ("relu", lambda x: ad.tsum(ad.relu(x)), [(7,)]),
-    ("add", lambda a, b: ad.tsum(ad.add(a, b)), [(4,), (4,)]),
-    ("sub", lambda a, b: ad.tsum(ad.sub(a, b)), [(4,), (4,)]),
-    ("mul", lambda a, b: ad.tsum(ad.mul(a, b)), [(4,), (4,)]),
-    ("exp", lambda x: ad.tsum(ad.exp(x)), [(4,)]),
-    ("scale", lambda x: ad.tsum(ad.scale(x, -1.7)), [(4,)]),
-    ("mean_over_axis", lambda x: ad.tsum(ad.mean_over_axis(x, 0)), [(3, 3)]),
-    ("square", lambda x: ad.tsum(ad.square(x)), [(4,)]),
-    ("logsumexp", lambda x: ad.tsum(ad.logsumexp(x, axis=-1)), [(3, 4)]),
-    ("stack", lambda a, b: ad.tsum(ad.square(ad.stack([a, b]))), [(4,), (4,)]),
-    ("take_rows", lambda x: ad.tsum(ad.square(ad.take_rows(x, [2, 0, 2]))), [(3, 2)]),
-    # two overlapping reads, so the second backward adds onto the first's gradient
-    ("narrow", lambda x: ad.tsum(ad.square(ad.mul(ad.narrow(x, 1, 0, 3),
-                                                  ad.narrow(x, 1, 1, 3)))), [(3, 4)]),
-    ("take_class", lambda x: ad.tsum(ad.square(ad.mul(ad.take_class(x, [2, 0, 2]),
-                                                      ad.take_class(x, [1, 0, 3])))),
-     [(3, 2, 4)]),
-    # the same two reads on the last axis, counted from the end
-    ("narrow axis -1", lambda x: ad.tsum(ad.square(ad.mul(ad.narrow(x, -1, 0, 2),
-                                                          ad.narrow(x, -1, 1, 2)))),
-     [(2, 3, 3)]),
-])
-def test_gradcheck_per_op(name, f, shapes):
-    rng = np.random.default_rng(zlib.crc32(name.encode()))
-    points = [Tensor(rng.uniform(-1, 1, s)) for s in shapes]
-    assert grad_check(f, points, epsilon=1e-5) < 1e-4
+@pytest.mark.parametrize("case", ad.GRAD_CASES, ids=[case[0] for case in ad.GRAD_CASES])
+def test_gradcheck_per_op(case):
+    assert ad.check_case(case) < 1e-4
 
 
-def test_gradcheck_sqrt_on_positive_inputs():
-    rng = np.random.default_rng(11)
-    err = grad_check(lambda x: ad.tsum(ad.sqrt(x)),
-                     Tensor(rng.uniform(0.5, 1.5, 4)), epsilon=1e-5)
-    assert err < 1e-4
+# two overlapping reads, so the second backward adds onto the first's gradient
+@pytest.mark.parametrize("read, first, second, shape", [
+    (ad.narrow, (1, 0, 3), (1, 1, 3), (3, 4)),
+    (ad.take_class, ([2, 0, 2],), ([1, 0, 3],), (3, 2, 4)),
+], ids=["narrow", "take_class"])
+def test_gradcheck_overlapping_reads_accumulate(read, first, second, shape):
+    x = Tensor(np.random.default_rng(0).uniform(-1, 1, shape))
+    f = lambda x: ad.tsum(ad.square(ad.mul(read(x, *first), read(x, *second))))
+    assert grad_check(f, x, epsilon=1e-5) < 1e-4
 
 
 def test_conv2d_gradient_vs_finite_differences():
@@ -357,34 +327,15 @@ def test_shape_errors_name_the_problem(make, fragment):
 # ---------------------------------------------------------------------------
 # no_grad
 
-NO_GRAD_OPS = [
-    lambda a, b, x, w: ad.add(a, b), lambda a, b, x, w: ad.sub(a, b),
-    lambda a, b, x, w: ad.mul(a, b), lambda a, b, x, w: ad.matmul(a, ad.reshape(b, (4, 2))),
-    lambda a, b, x, w: ad.exp(a), lambda a, b, x, w: ad.log(ad.exp(a)),
-    lambda a, b, x, w: ad.scale(a, 2.0), lambda a, b, x, w: ad.square(a),
-    lambda a, b, x, w: ad.sqrt(ad.square(a)), lambda a, b, x, w: ad.relu(a),
-    lambda a, b, x, w: ad.clip(a, -0.5, 0.5), lambda a, b, x, w: ad.tsum(a, axis=1),
-    lambda a, b, x, w: ad.tmean(a), lambda a, b, x, w: ad.narrow(a, 1, 1, 2),
-    lambda a, b, x, w: ad.stack([a, b]), lambda a, b, x, w: ad.take_rows(a, [1, 0, 1]),
-    lambda a, b, x, w: ad.take_class(a, [0, 3]), lambda a, b, x, w: ad.logsumexp(a),
-    lambda a, b, x, w: ad.conv2d(x, w, padding=1),
-    lambda a, b, x, w: ad.maxpool2x2(ad.conv2d(x, w, padding=1)),
-]
-
-
-def _leaves():
+@pytest.mark.parametrize("index", range(len(ad.GRAD_CASES)))
+def test_no_grad_ops_build_no_node(index):
+    _, kind, attrs, shapes, (lo, hi) = ad.GRAD_CASES[index]
     rng = np.random.default_rng(4)
-    return [Tensor(rng.uniform(-1, 1, s), requires_grad=True)
-            for s in ((2, 4), (2, 4), (1, 2, 4, 4), (3, 2, 3, 3))]
-
-
-@pytest.mark.parametrize("op", range(len(NO_GRAD_OPS)))
-def test_no_grad_ops_build_no_node(op):
-    leaves = _leaves()
-    tracked = NO_GRAD_OPS[op](*leaves)
+    leaves = [Tensor(rng.uniform(lo, hi, s), requires_grad=True) for s in shapes]
+    tracked = forward_op(kind, leaves, attrs)
     assert tracked._backward is not None and tracked._parents
     with ad.no_grad():
-        out = NO_GRAD_OPS[op](*leaves)
+        out = forward_op(kind, leaves, attrs)
     assert out._backward is None and out._parents == () and not out.requires_grad
     assert np.array_equal(out.data, tracked.data)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import protoreplay.autodiff as ad
 from protoreplay.cli import _build_dataset, main
 
 
@@ -113,6 +114,19 @@ def test_gradcheck_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "all gradient checks passed" in out
     assert "FAIL" not in out
+
+
+def test_gradcheck_fails_on_a_wrong_backward(monkeypatch, capsys):
+    def exp_with_doubled_backward(a):
+        out = ad.exp(a)
+        backward = out._backward
+        out._backward = lambda g: backward(2.0 * g)
+        return out
+    monkeypatch.setitem(ad.OPS, "exp", exp_with_doubled_backward)
+    assert main(["gradcheck"]) == 1
+    captured = capsys.readouterr()
+    assert [line.split()[0] for line in captured.out.splitlines() if "FAIL" in line] == ["exp"]
+    assert "gradient check failed for: exp" in captured.err
 
 
 def test_malformed_config_exits_two(tmp_path, capsys):
@@ -231,6 +245,41 @@ def test_config_value_of_the_wrong_type_exits_two(tmp_path, capsys, key, value, 
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"error: {field} must be an integer, got {value!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("dataset", "num_classes", "4", "dataset.num_classes must be an integer, got '4'"),
+    ("dataset", "seed", 1.5, "dataset.seed must be an integer, got 1.5"),
+    ("dataset", "separation", "5", "dataset.separation must be a real number, got '5'"),
+    ("dataset", "separation", True, "dataset.separation must be a real number, got True"),
+    ("dataset", "per_class_test", 0, "dataset.per_class_test must be >= 1, got 0"),
+    ("dataset", "dim", 0, "dataset.dim must be >= 1, got 0"),
+    ("dataset", "num_classes", None, "dataset.num_classes is required"),
+    ("schedule", "quota", "4", "schedule.quota must be an integer, got '4'"),
+    ("schedule", "classes_per_task", "1", "schedule.classes_per_task must be an integer"),
+    ("schedule", "first_task_classes", 1.5, "schedule.first_task_classes must be an integer"),
+    ("schedule", "num_tasks", "2", "schedule.num_tasks must be an integer, got '2'"),
+])
+def test_dataset_or_schedule_value_of_the_wrong_type_exits_two(tmp_path, capsys, section,
+                                                               key, value, message):
+    cfg = json.loads(run_config(tmp_path).read_text())
+    if key == "num_tasks":
+        cfg["protocol"], cfg["schedule"] = "incremental_domain", {}
+    if value is None:
+        del cfg[section][key]
+    else:
+        cfg[section][key] = value
+    path = run_config(tmp_path, **cfg)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_idx_dataset_without_a_required_key_exits_two(tmp_path, capsys):
+    cfg = run_config(tmp_path, dataset={"kind": "idx", "train_images": "images.idx"})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "error: dataset.train_labels is required" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("count, rows, cols", [

@@ -260,6 +260,12 @@ def test_split_subsampling_deterministic_under_seed():
         assert sa.train_indices == sb.train_indices
 
 
+@pytest.mark.parametrize("first, per_task", [(2, 0), (0, 1), (2, -1)])
+def test_incremental_class_plan_rejects_counts_below_one(first, per_task):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        incremental_class_plan(5, first, per_task, 10)
+
+
 @pytest.mark.parametrize("make, fragment", [
     (lambda ds: split_protocol(ds, "cifar_like"), "cifar_like needs >= 3 classes, got 2"),
     (lambda ds: split_protocol(ds, "imagenet_like"), "imagenet_like needs >= 20 classes"),
