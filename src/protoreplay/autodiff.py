@@ -337,26 +337,46 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
         raise ShapeError(f"conv2d: kernel {k} too large for input {x.shape} with padding {p}")
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     # channel-major im2col: row (c, i, j) of an image's (ci*k*k, ho*wo) block
-    # is padded channel c shifted by (i, j), copied one image row at a time
-    cols = np.lib.stride_tricks.sliding_window_view(xp, (ho, wo), axis=(2, 3)) \
-        .reshape(B, ci * k * k, ho * wo)
-    wm = w.data.reshape(co, ci * k * k)
-    out_data = np.matmul(wm, cols).reshape(B, co, ho, wo)
+    # is padded channel c shifted by (i, j), copied one image row at a time.
+    # Blocks are built one image at a time in one reused buffer, small enough
+    # to stay in cache; the graph keeps only xp, and the backward rebuilds them.
+    win = np.lib.stride_tricks.sliding_window_view(xp, (ho, wo), axis=(2, 3))
+    K = ci * k * k
+    wm = w.data.reshape(co, K)
+
+    def columns(buf, b):
+        np.copyto(buf, win[b])
+        return buf.reshape(K, ho * wo)
+
+    cols = np.empty((ci, k, k, ho, wo))
+    out_data = np.empty((B, co, ho * wo))
+    for b in range(B):
+        np.matmul(wm, columns(cols, b), out=out_data[b])
 
     def backward(g):
         gm = g.reshape(B, co, ho * wo)
         if w.requires_grad or w._backward is not None:
-            gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
+            # per-image products added in batch order, so gw rounds as a sum
+            # over the batch axis would
+            cols = np.empty((ci, k, k, ho, wo))
+            gw, part = np.zeros((co, K)), np.empty((co, K))
+            for b in range(B):
+                np.matmul(gm[b], columns(cols, b).T, out=part if b else gw)
+                if b:
+                    gw += part
             _accumulate(w, gw.reshape(co, ci, k, k))
         if x.requires_grad or x._backward is not None:
             # col2im: row (c, i, j) adds back onto channel c at shift (i, j)
-            gcols = np.matmul(wm.T, gm).reshape(B, ci, k, k, ho, wo)
-            gxp = np.zeros((B, ci, H + 2 * p, W + 2 * p))
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, :, i:i + ho, j:j + wo] += gcols[:, :, i, j]
+            gcols = np.empty((K, ho * wo))
+            slabs = gcols.reshape(ci, k, k, ho, wo)
+            gxp = np.zeros(xp.shape)
+            for b in range(B):
+                np.matmul(wm.T, gm[b], out=gcols)
+                for i in range(k):
+                    for j in range(k):
+                        gxp[b, :, i:i + ho, j:j + wo] += slabs[:, i, j]
             _accumulate(x, gxp[:, :, p:p + H, p:p + W] if p else gxp)
-    return _node(out_data, (x, w), backward)
+    return _node(out_data.reshape(B, co, ho, wo), (x, w), backward)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:

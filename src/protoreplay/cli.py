@@ -172,6 +172,23 @@ def _save_encoder(params, path):
     np.savez(path, **arrays)
 
 
+def _environment() -> dict:
+    """What a run's bits depend on besides its config and seed: the numpy and
+    BLAS builds, the BLAS thread setting and the CPUs the process may use."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+    }
+
+
 def cmd_run(args) -> int:
     cfg = _Section(_load_config(args.config), "config")
     tcfg = _trainer_config(cfg)
@@ -219,6 +236,7 @@ def cmd_run(args) -> int:
             "total": report.total,
         },
         "final_average_accuracy": summarize(matrix)["final_average"],
+        "environment": _environment(),
     }
     with open(os.path.join(args.out, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

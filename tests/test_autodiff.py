@@ -189,6 +189,80 @@ def test_conv2d_matches_row_major_reference(batch, cin, cout, size, pad):
         np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
 
 
+def _conv2d_batched_reference(x, w, p, g):
+    """conv2d's output and the gradients of sum(g * output), lowered over the
+    whole batch at once: one (B, ci*k*k, ho*wo) column block, one batched
+    matmul each way, and col2im over the batch."""
+    B, ci, H, W = x.shape
+    co, _, k, _ = w.shape
+    ho, wo = H + 2 * p - k + 1, W + 2 * p - k + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    cols = np.lib.stride_tricks.sliding_window_view(xp, (ho, wo), axis=(2, 3)) \
+        .reshape(B, ci * k * k, ho * wo)
+    wm = w.reshape(co, ci * k * k)
+    out = np.matmul(wm, cols).reshape(B, co, ho, wo)
+    gm = g.reshape(B, co, ho * wo)
+    gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gcols = np.matmul(wm.T, gm).reshape(B, ci, k, k, ho, wo)
+    gxp = np.zeros((B, ci, H + 2 * p, W + 2 * p))
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i:i + ho, j:j + wo] += gcols[:, :, i, j]
+    return out, gxp[:, :, p:p + H, p:p + W] if p else gxp, gw
+
+
+@pytest.mark.parametrize("batch,cin,cout,size,k,pad,strided", [
+    (1, 3, 20, 32, 5, 2, False), (3, 3, 20, 32, 5, 2, False),
+    (40, 3, 20, 32, 5, 2, False),                      # first reference layer
+    (1, 20, 50, 16, 5, 2, False), (3, 20, 50, 16, 5, 2, False),
+    (40, 20, 50, 16, 5, 2, False),                     # second reference layer
+    (2, 4, 6, 7, 1, 0, False), (3, 4, 5, 9, 3, 0, False),
+    (3, 4, 5, 9, 3, 0, True), (3, 20, 50, 16, 5, 2, True),
+    (0, 3, 20, 32, 5, 2, False), (0, 20, 50, 16, 5, 2, False),   # an empty batch
+])
+def test_conv2d_bits_match_batched_lowering(batch, cin, cout, size, k, pad, strided):
+    rng = np.random.default_rng([batch, cin, k, pad, strided])
+    x = rng.uniform(-1, 1, (batch, cin, size, size))
+    if strided:
+        x = x.transpose(0, 1, 3, 2)
+        assert not x.flags.c_contiguous
+    w = rng.uniform(-1, 1, (cout, cin, k, k)) / np.sqrt(cin * k * k)
+    out_size = size + 2 * pad - k + 1
+    g = rng.uniform(-1, 1, (batch, cout, out_size, out_size))
+    want_out, want_gx, want_gw = _conv2d_batched_reference(x, w, pad, g)
+    with ad.no_grad():
+        out = ad.conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), pad)
+    assert out._backward is None and out.data.tobytes() == want_out.tobytes()
+    for need_x, need_w in ((True, False), (False, True), (True, True)):
+        xt, wt = Tensor(x, requires_grad=need_x), Tensor(w, requires_grad=need_w)
+        out = ad.conv2d(xt, wt, padding=pad)
+        assert out.shape == want_out.shape and out.data.tobytes() == want_out.tobytes()
+        out._backward(g)
+        for t, need, want in ((xt, need_x, want_gx), (wt, need_w, want_gw)):
+            if not need:
+                assert t.grad is None
+                continue
+            acc = np.zeros(t.shape)
+            acc += want                                  # as _accumulate adds it
+            assert t.grad.shape == acc.shape and t.grad.tobytes() == acc.tobytes()
+
+
+def test_tracked_conv2d_keeps_no_column_block():
+    # The second reference layer at a batch of 40: the padded input the graph
+    # keeps is 2.6 MB; the whole-batch column block would be 41 MB.
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.uniform(-1, 1, (40, 20, 16, 16)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (50, 20, 5, 5)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = ad.conv2d(x, w, padding=2)
+        held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    assert held / 1e6 < 8.0
+
+
 def test_maxpool2x2_routes_ties_like_argmax_reference():
     rng = np.random.default_rng(4)
     # ReLU zeros tie the four corners of a block with no positive input;

@@ -74,6 +74,37 @@ def test_run_writes_artifacts_and_is_reproducible(tmp_path, capsys):
     assert manifest["footprint"]["network_params"] > 0
 
 
+def test_run_manifest_records_environment(tmp_path, capsys, monkeypatch):
+    cfg = run_config(tmp_path)
+    outputs = {}
+    for name, threads in (("unset", None), ("one", "1")):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    manifests = {name: json.loads(files.pop("manifest.json"))
+                 for name, files in outputs.items()}
+    # the environment block is the one addition; no other output moves
+    assert outputs["unset"] == outputs["one"]
+    assert set(outputs["unset"]) == {"accuracy.csv", "prototype_history.csv",
+                                     "task1_latents.csv", "encoder.npz", "memory.bin"}
+    env = {name: m.pop("environment") for name, m in manifests.items()}
+    for m in manifests.values():
+        m.pop("wall_time_seconds")
+    assert manifests["unset"] == manifests["one"]
+    assert set(manifests["unset"]) == {"config", "seed", "footprint",
+                                       "final_average_accuracy"}
+    assert env["unset"]["openblas_num_threads"] is None
+    assert env["one"]["openblas_num_threads"] == "1"
+    for e in env.values():
+        assert set(e) == {"numpy", "blas", "blas_version", "openblas_num_threads",
+                          "usable_cpus"}
+        assert e["numpy"] == np.__version__
+        assert isinstance(e["usable_cpus"], int) and e["usable_cpus"] >= 1
+
+
 def test_report_fixture_average(tmp_path, capsys):
     path = tmp_path / "acc.csv"
     with open(path, "w", newline="") as f:

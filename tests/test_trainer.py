@@ -532,6 +532,28 @@ def test_evaluate_keeps_no_graph_alive(monkeypatch):
     assert (held[0] - before) / 1e6 < 4.0
 
 
+def test_evaluate_peak_memory_on_cifar_like_32():
+    # Traced peak of evaluate on 80 cifar_like_32 images: 28.3 MB, mostly the
+    # first conv layer's (80, 20, 32, 32) activations, against 100.5 MB when
+    # conv2d built its whole-batch im2col block.
+    import tracemalloc
+    cfg = TrainerConfig(SamplingConfig(Z=2, D=500))
+    state = make_state(init_encoder(reference_architecture("cifar_like_32"), 500, seed=0), cfg)
+    rng = np.random.default_rng(0)
+    for c in (0, 1):
+        state.memory.prototype_history[(1, c)] = VariationalPrototype(
+            1, c, Tensor(rng.normal(size=500)), Tensor(np.zeros(500)))
+    tests = [Image(rng.uniform(0, 1, (3, 32, 32)), i % 2) for i in range(80)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate(state, tests, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / 1e6 < 40.0
+
+
 def test_accuracy_matrices_pinned():
     # Recorded values, equal at 1 and 2 BLAS threads: an engine change that
     # moves them changes the results of a run.
