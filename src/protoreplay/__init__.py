@@ -1,11 +1,9 @@
 """Variational prototype replay engine for few-shot continual learning."""
 
 from .autodiff import Tensor, ShapeError, forward_op, grad_check
-from .proto import (SamplingConfig, VariationalEmbedding, VariationalPrototype,
-                    LatentSample, batch_prototype, compute_prototype, sample_latent,
-                    weighted_distance, class_posterior, classification_loss,
-                    replay_loss)
-from .encoder import (LayerSpec, EncoderParams, encode, init_encoder,
+from .proto import (SamplingConfig, VariationalPrototype, batch_prototype,
+                    class_posterior, mixed_classification_loss)
+from .encoder import (LayerSpec, EncoderParams, encode_batch, init_encoder,
                       reference_architecture, baseline_head, param_count)
 from .memory import (EpisodicMemory, FootprintReport, store_exemplars,
                      store_prototypes, rebalance, memory_footprint,

@@ -149,12 +149,20 @@ def _trainer_config(cfg: _Section) -> TrainerConfig:
     def given(section, keys, fields=None):
         return {f: section[k] for k, f in zip(keys, fields or keys) if k in section}
 
+    sampling = given(cfg, ("samples", "tau", "latent_dim"), ("Z", "tau", "D"))
+    ablation = cfg.section("ablation")
+    if "unweighted_distance" in ablation:
+        unweighted = ablation["unweighted_distance"]
+        if not isinstance(unweighted, bool):
+            raise UsageError(f"ablation.unweighted_distance must be true or false, "
+                             f"got {unweighted!r}")
+        sampling["weighted"] = not unweighted
     return TrainerConfig(
-        SamplingConfig(**given(cfg, ("samples", "tau", "latent_dim"), ("Z", "tau", "D"))),
+        SamplingConfig(**sampling),
         **given(cfg, ("learning_rate", "epochs_per_task", "batch_per_class",
                       "support_fraction", "replay_weight", "seed", "per_class_quota",
                       "budget_elements")),
-        **given(cfg.section("ablation"), ("unweighted_distance", "replay_order", "recall")))
+        **given(ablation, ("replay_order", "recall")))
 
 
 def _save_encoder(params, path):
@@ -260,15 +268,17 @@ def cmd_report(args) -> int:
 
 
 def cmd_footprint(args) -> int:
+    if args.latent_dim is not None and args.latent_dim < 1:
+        raise UsageError(f"--latent-dim must be >= 1, got {args.latent_dim}")
     layers = reference_architecture(args.arch, latent_dim=args.latent_dim,
                                     input_dim=args.input_dim)
+    D = layers[-1].dims[1] // 2             # the latent width the network is built at
     if args.mode in ("baseline_sgd", "baseline_regularizer"):
         layers = baseline_head(layers, args.num_classes)
-    params = init_encoder(layers, args.latent_dim or 500, seed=0, zero=True)
+    params = init_encoder(layers, D, seed=0, zero=True)
     memory = EpisodicMemory()
     if args.mode == "ours" and args.exemplars:
         shape = tuple(int(v) for v in args.exemplar_shape.split(","))
-        D = args.latent_dim or 500
         for c in range(args.exemplars):
             memory.exemplars[c] = [Image(np.zeros(shape), c)]
             memory.prototype_history[(1, c)] = VariationalPrototype(
@@ -358,8 +368,8 @@ def cmd_gradcheck(args) -> int:
 
     # (name, (class, row) of each online prototype's support, (class, row)
     # of each query, frozen prototypes, noise seed)
-    cases = [("classification_loss", [(0, 0), (1, 2)], [(0, 1), (1, 3)], [], 7),
-             ("replay_loss", [], [(0, 0), (0, 1), (1, 2), (1, 3)], stored[:2], 9),
+    cases = [("loss, online prototypes", [(0, 0), (1, 2)], [(0, 1), (1, 3)], [], 7),
+             ("loss, frozen prototypes", [], [(0, 0), (0, 1), (1, 2), (1, 3)], stored[:2], 9),
              ("mixed_classification_loss", [(0, 0), (1, 2)],
               [(0, 1), (1, 3), (2, 4), (3, 5)], stored[2:], 11)]
     for name, support, queries, frozen, seed in cases:

@@ -12,14 +12,13 @@ biases (the table's sums contain none), although biases are trained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .proto import VariationalEmbedding
 
 
 LOGVAR_BOUND = 10.0  # log-variance clamp before exponentiation
@@ -116,13 +115,6 @@ def encode_batch(params: EncoderParams, pixels: np.ndarray):
     mean = ad.narrow(out, 1, 0, D)
     logvar = ad.clip(ad.narrow(out, 1, D, D), -LOGVAR_BOUND, LOGVAR_BOUND)
     return mean, logvar
-
-
-def encode(params: EncoderParams, image) -> VariationalEmbedding:
-    """Encode one image (an Image or a (C,H,W) array) to its latent Gaussian."""
-    pixels = image.pixels if hasattr(image, "pixels") else np.asarray(image)
-    mean, logvar = encode_batch(params, pixels[None])
-    return VariationalEmbedding(ad.reshape(mean, (-1,)), ad.reshape(logvar, (-1,)))
 
 
 def reference_architecture(dataset: str, latent_dim: Optional[int] = None,

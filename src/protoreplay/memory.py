@@ -175,7 +175,8 @@ def save_memory(memory: EpisodicMemory, path):
 def load_memory(path) -> EpisodicMemory:
     """Read a snapshot written by ``save_memory``. A file that is not one,
     ends early, has bytes after its last record, holds a size field out of
-    range, or repeats a class id or a (task, class) key raises ValueError.
+    range (a class with no exemplar among them), or repeats a class id or a
+    (task, class) key raises ValueError.
     Sizes are checked against the bytes left in the file before anything is
     read or allocated."""
     with open(path, "rb") as f:
@@ -200,7 +201,7 @@ def load_memory(path) -> EpisodicMemory:
         memory = EpisodicMemory(budget_elements=None if budget < 0 else budget)
         for _ in range(n_classes):
             c, n_imgs = struct.unpack("<2q", read(16))
-            check("image count", (n_imgs,), 0)
+            check("image count", (n_imgs,), 1)
             if c in memory.exemplars:
                 raise ValueError(f"{path}: corrupt memory snapshot: duplicate class id {c}")
             imgs = []

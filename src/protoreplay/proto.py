@@ -6,7 +6,8 @@ Classification samples latents from queries and prototypes by
 reparameterization and takes a softmax over (optionally variance-weighted)
 L2 distances; replay regresses re-encoded stored exemplars onto prototypes
 frozen at earlier tasks. Both run one batched loss,
-``mixed_classification_loss``; the list-of-pairs losses are views of it.
+``mixed_classification_loss``; ``class_posterior`` is its distance kernel with
+arrays in and out.
 
 Noise-draw order is part of the contract so results are reproducible from a
 seeded generator: each loss first draws prototype noise of shape (Z, C, D)
@@ -18,6 +19,7 @@ thread without changing which values each request gets.
 from __future__ import annotations
 
 import contextlib
+import math
 import numbers
 import os
 import threading
@@ -33,10 +35,12 @@ from .autodiff import Tensor
 
 def check_type(name: str, value, kind):
     """Raise a ValueError naming ``name`` unless ``value`` is a ``kind``,
-    numbers.Integral or numbers.Real; bool is neither."""
+    numbers.Integral or numbers.Real, and finite; bool is neither."""
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if kind is numbers.Integral else "a real number"
         raise ValueError(f"{name} must be {what}, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def check_field_types(config, counts, rates):
@@ -164,19 +168,14 @@ class SamplingConfig:
 
     def __post_init__(self):
         check_field_types(self, ("Z", "D"), ("tau",))
+        if not isinstance(self.weighted, bool):
+            raise ValueError(f"weighted must be True or False, got {self.weighted!r}")
         if self.Z < 1:
             raise ValueError(f"sample count Z must be >= 1, got {self.Z}")
         if self.tau <= 0:
             raise ValueError(f"temperature tau must be positive, got {self.tau}")
         if self.D < 1:
             raise ValueError(f"latent dimension D must be >= 1, got {self.D}")
-
-
-@dataclass
-class VariationalEmbedding:
-    """Per-image latent Gaussian: mean and log-variance vectors of length D."""
-    mean: Tensor
-    logvar: Tensor
 
 
 @dataclass
@@ -188,19 +187,6 @@ class VariationalPrototype:
     logvar: Tensor
 
 
-@dataclass
-class LatentSample:
-    values: Tensor
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, LatentSample):
-        return x.values
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
-
-
 def batch_prototype(task_id: int, class_id: int, mean: Tensor, logvar: Tensor,
                     rows) -> VariationalPrototype:
     """Average the given rows of an encoded (N, D) batch's means and
@@ -208,32 +194,6 @@ def batch_prototype(task_id: int, class_id: int, mean: Tensor, logvar: Tensor,
     return VariationalPrototype(task_id, class_id,
                                 ad.mean_over_axis(ad.take_rows(mean, rows), axis=0),
                                 ad.mean_over_axis(ad.take_rows(logvar, rows), axis=0))
-
-
-def compute_prototype(embeddings: Sequence[VariationalEmbedding],
-                      task_id: int, class_id: int) -> VariationalPrototype:
-    """Average member means and log-variances elementwise (differentiable)."""
-    if not embeddings:
-        raise ValueError("compute_prototype: empty embedding list")
-    return batch_prototype(task_id, class_id, ad.stack([e.mean for e in embeddings]),
-                           ad.stack([e.logvar for e in embeddings]), range(len(embeddings)))
-
-
-def sample_latent(e, noise) -> LatentSample:
-    """Reparameterized draw: mean + exp(0.5 * logvar) * noise."""
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != e.mean.data.shape:
-        raise ad.ShapeError(
-            f"sample_latent: noise shape {noise.shape} vs mean shape {e.mean.shape}")
-    return LatentSample(ad.add(e.mean, ad.mul(ad.exp(ad.scale(e.logvar, 0.5)), Tensor(noise))))
-
-
-def weighted_distance(s1, s2, logvar=None) -> Tensor:
-    """L2 norm of exp(-0.5 * logvar) * (s1 - s2); plain L2 when logvar is None/0."""
-    diff = ad.sub(_as_tensor(s1), _as_tensor(s2))
-    if logvar is not None:
-        diff = ad.mul(diff, Tensor(np.exp(-0.5 * _as_tensor(logvar).data)))
-    return ad.sqrt(ad.tsum(ad.square(diff), axis=-1))
 
 
 def _centre(qs: np.ndarray, ps: np.ndarray) -> None:
@@ -266,36 +226,28 @@ def _sq_distances(qs: np.ndarray, ps: np.ndarray, w: np.ndarray,
     return np.maximum(d2, 0.0, out=d2)
 
 
-def class_posterior(query_samples: Sequence[LatentSample],
-                    proto_samples: dict,
-                    weights: Optional[dict],
-                    cfg: SamplingConfig):
-    """Distance-softmax posterior for one query embedding's Z samples.
+def class_posterior(query_samples: np.ndarray, proto_samples: np.ndarray,
+                    weight_logvar: Optional[np.ndarray], cfg: SamplingConfig) -> np.ndarray:
+    """Distance-softmax posterior of one query's Z samples, on the loss's kernel.
 
-    ``proto_samples`` maps class_id -> list of Z LatentSamples; sample index z
-    of the query is paired with sample index z of every class. Returns
-    (probs of shape (Z, C), class_ids in ascending order).
+    query_samples: (Z, D); proto_samples: (Z, C, D) in class order, sample z
+    of the query paired with sample z of every class; weight_logvar: optional
+    (C, D), weighting class c's squared distances by exp(-weight_logvar[c])
+    when cfg.weighted. The inputs are not changed. Returns (Z, C) probabilities.
     """
-    class_ids = sorted(proto_samples)
-    Z = len(query_samples)
-    for c in class_ids:
-        if len(proto_samples[c]) != Z:
-            raise ValueError(
-                f"class {c} supplied {len(proto_samples[c])} samples, expected Z={Z}")
-    queries = np.stack([_as_tensor(s).data for s in query_samples])       # (Z, D)
-    protos = np.stack([[_as_tensor(s).data for s in proto_samples[c]]
-                       for c in class_ids], axis=1)                        # (Z, C, D)
-    w = np.ones(protos.shape[1:])
-    if weights is not None and cfg.weighted:
-        for i, c in enumerate(class_ids):
-            if c in weights:
-                w[i] = np.exp(-_as_tensor(weights[c]).data)
-    _centre(queries, protos)
-    dists = np.sqrt(_sq_distances(queries[None], protos, w)[0])           # (Z, C)
-    logits = -dists / cfg.tau
+    qs = np.array(query_samples, dtype=np.float64)[None]                   # (1, Z, D)
+    ps = np.array(proto_samples, dtype=np.float64)                         # (Z, C, D)
+    if ps.ndim != 3 or ps.shape[::2] != qs.shape[1:]:
+        raise ValueError(f"prototype samples of shape {ps.shape} do not pair with "
+                         f"query samples of shape {qs.shape[1:]}: want (Z, C, D), (Z, D)")
+    w = np.ones(ps.shape[1:])
+    if weight_logvar is not None and cfg.weighted:
+        w = np.exp(-np.asarray(weight_logvar, dtype=np.float64))
+    _centre(qs, ps)
+    logits = -np.sqrt(_sq_distances(qs, ps, w)[0]) / cfg.tau              # (Z, C)
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True), class_ids
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _distance_softmax_ce(query_mean: Tensor, query_logvar: Tensor,
@@ -359,13 +311,15 @@ def mixed_classification_loss(mean: Tensor, logvar: Tensor, labels: Sequence[int
                               online: Sequence[VariationalPrototype],
                               frozen: Sequence[VariationalPrototype],
                               cfg: SamplingConfig, noise_stream) -> Tensor:
-    """The distance-softmax cross-entropy; the list-of-pairs losses are views.
+    """The distance-softmax cross-entropy of the classification and replay terms.
 
     Row q of ``mean``/``logvar`` (Q, D) is a query of class ``labels[q]``. It
     is scored in one posterior over the ``online`` prototypes, which pass
     gradients, and the ``frozen`` ones, which are constant regression
     targets. Frozen entries are weighted by their own log-variance when
     cfg.weighted; online entries never are. Every label needs a prototype.
+    With only online prototypes this is the classification loss; with only
+    one past task's frozen prototypes, that task's replay loss.
     """
     entries = sorted([(p, False) for p in online] + [(p, True) for p in frozen],
                      key=lambda entry: entry[0].class_id)
@@ -384,39 +338,6 @@ def mixed_classification_loss(mean: Tensor, logvar: Tensor, labels: Sequence[int
                         for p, fixed in entries])
     label_idx = np.array([index[label] for label in labels])
     return _distance_softmax_ce(mean, logvar, label_idx, pm, plv, wlv, cfg, noise_stream)
-
-
-def _stack_pairs(pairs):
-    """(mean, logvar, labels) of a list of (VariationalEmbedding, class_id)."""
-    return (ad.stack([e.mean for e, _ in pairs]), ad.stack([e.logvar for e, _ in pairs]),
-            [label for _, label in pairs])
-
-
-def classification_loss(queries, prototypes: Sequence[VariationalPrototype],
-                        cfg: SamplingConfig, noise_stream) -> Tensor:
-    """Cross-entropy of the unweighted distance softmax over all C classes.
-
-    ``queries`` is a list of (VariationalEmbedding, class_id) pairs; every
-    label must have a prototype.
-    """
-    mean, logvar, labels = _stack_pairs(queries)
-    return mixed_classification_loss(mean, logvar, labels, prototypes, [], cfg,
-                                     noise_stream)
-
-
-def replay_loss(exemplar_embeddings, stored: Sequence[VariationalPrototype],
-                cfg: SamplingConfig, noise_stream) -> Tensor:
-    """Cross-entropy of the variance-weighted softmax against one past task.
-
-    Stored prototypes act as fixed regression targets: no gradient flows into
-    them. Class c's distances are weighted by that prototype's stored
-    log-variance when cfg.weighted.
-    """
-    tasks = {p.task_id for p in stored}
-    if len(tasks) != 1:
-        raise ValueError(f"stored prototypes span several tasks: {sorted(tasks)}")
-    mean, logvar, labels = _stack_pairs(exemplar_embeddings)
-    return mixed_classification_loss(mean, logvar, labels, [], stored, cfg, noise_stream)
 
 
 def logvar_match_loss(logvar: Tensor, labels: Sequence[int],

@@ -11,7 +11,7 @@ stored under task T; exemplars are then stored and rebalanced to budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,7 +42,6 @@ class TrainerConfig:
     seed: int = 0
     per_class_quota: int = 1
     budget_elements: Optional[int] = None
-    unweighted_distance: bool = False
     replay_order: str = "forward"
     recall: str = "mean_and_var"
 
@@ -66,10 +65,6 @@ class TrainerConfig:
             raise ValueError(f"replay_order must be one of {REPLAY_ORDERS}")
         if self.recall not in RECALL_MODES:
             raise ValueError(f"recall must be one of {RECALL_MODES}")
-
-    def effective_sampling(self) -> SamplingConfig:
-        weighted = self.sampling.weighted and not self.unweighted_distance
-        return replace(self.sampling, weighted=weighted)
 
 
 @dataclass
@@ -186,7 +181,6 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
     if state.memory.budget_elements is not None:
         quota = mem.budget_quota(state.memory, classes_after, task_images[0].elements)
     state.current_task = task_id
-    scfg = cfg.effective_sampling()
     previous_tasks = sorted({t for (t, _) in state.memory.prototype_history})
 
     old_protos: List[VariationalPrototype] = []
@@ -254,7 +248,7 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
                 labels = [c for c, _, q in splits for _ in q]
                 loss = mixed_classification_loss(ad.take_rows(mean, rows),
                                                  ad.take_rows(logvar, rows), labels,
-                                                 online, old_protos, scfg, state.noise)
+                                                 online, old_protos, cfg.sampling, state.noise)
                 replay_sum = None
                 for targets, ex_rows, ex_labels in replay_terms:
                     rows = [len(images) + r for r in ex_rows]
@@ -264,7 +258,7 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
                     else:
                         term = mixed_classification_loss(
                             ad.take_rows(mean, rows), ad.take_rows(logvar, rows), ex_labels,
-                            [], targets, scfg, state.noise)
+                            [], targets, cfg.sampling, state.noise)
                     replay_sum = term if replay_sum is None else ad.add(replay_sum, term)
                 if replay_sum is not None:
                     loss = ad.add(loss, ad.scale(replay_sum, cfg.replay_weight))

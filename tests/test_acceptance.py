@@ -23,11 +23,9 @@ from protoreplay.encoder import (baseline_head, init_encoder,
                                  reference_architecture)
 from protoreplay.memory import (EpisodicMemory, memory_footprint, rebalance,
                                 store_exemplars)
-from protoreplay.proto import (LatentSample, SamplingConfig,
-                               VariationalEmbedding, VariationalPrototype,
-                               class_posterior, classification_loss,
-                               compute_prototype, sample_latent,
-                               weighted_distance)
+from protoreplay.proto import (SamplingConfig, VariationalPrototype, _centre,
+                               _sq_distances, batch_prototype, class_posterior,
+                               mixed_classification_loss)
 from protoreplay.trainer import TrainerConfig, run_continual, train_baseline
 
 
@@ -113,26 +111,22 @@ def test_criterion_3_oracle_equivalence(report):
 
         protos = [VariationalPrototype(1, c, Tensor(pm[c]), Tensor(plv[c]))
                   for c in range(C)]
-        queries = [(VariationalEmbedding(Tensor(qm[q]), Tensor(qlv[q])),
-                    int(labels[q])) for q in range(Q)]
         seed = 1000 + trial
-        got = classification_loss(queries, protos, cfg,
-                                  np.random.default_rng(seed)).item()
+        got = mixed_classification_loss(Tensor(qm), Tensor(qlv), labels.tolist(),
+                                        protos, [], cfg,
+                                        np.random.default_rng(seed)).item()
         want = brute_force_classification_loss(qm, qlv, labels, pm, plv,
                                                cfg, seed)
         worst_loss = max(worst_loss, abs(got - want))
 
         # posterior oracle on fixed per-sample noise
         nz = rng.standard_normal((Z, C + 1, D))
-        qsamples = [sample_latent(queries[0][0], nz[z, 0]) for z in range(Z)]
-        psamples = {c: [sample_latent(
-            VariationalEmbedding(Tensor(pm[c]), Tensor(plv[c])), nz[z, c + 1])
-            for z in range(Z)] for c in range(C)}
-        probs, class_ids = class_posterior(qsamples, psamples, None, cfg)
+        qsamples = qm[0] + np.exp(0.5 * qlv[0]) * nz[:, 0]          # (Z, D)
+        psamples = pm + np.exp(0.5 * plv) * nz[:, 1:]              # (Z, C, D)
+        probs = class_posterior(qsamples, psamples, None, cfg)
         for z in range(Z):
-            d = np.array([np.linalg.norm(qsamples[z].values.data
-                                         - psamples[c][z].values.data)
-                          for c in class_ids])
+            d = np.array([np.linalg.norm(qsamples[z] - psamples[z, c])
+                          for c in range(C)])
             e = np.exp(-d / cfg.tau - (-d / cfg.tau).max())
             worst_post = max(worst_post, np.max(np.abs(probs[z] - e / e.sum())))
     ok = worst_loss < 1e-12 and worst_post < 1e-12
@@ -220,48 +214,47 @@ def test_criterion_6_invariants(report):
     # posterior normalization and tau argmax-invariance
     D, Z, C = 3, 4, 3
     cfg1 = SamplingConfig(Z=Z, tau=1.0, D=D)
-    embs = {c: VariationalEmbedding(Tensor(rng.uniform(-1, 1, D)),
-                                    Tensor(rng.uniform(-1, 1, D)))
-            for c in range(C)}
-    q = VariationalEmbedding(Tensor(rng.uniform(-1, 1, D)),
-                             Tensor(rng.uniform(-1, 1, D)))
+    embs = [(rng.uniform(-1, 1, D), rng.uniform(-1, 1, D)) for c in range(C)]
+    qm, qlv = rng.uniform(-1, 1, D), rng.uniform(-1, 1, D)
     noise = rng.standard_normal((Z, C + 1, D))
-    qs = [sample_latent(q, noise[z, 0]) for z in range(Z)]
-    ps = {c: [sample_latent(embs[c], noise[z, c + 1]) for z in range(Z)]
-          for c in range(C)}
-    probs1, _ = class_posterior(qs, ps, None, cfg1)
+    qs = qm + np.exp(0.5 * qlv) * noise[:, 0]                       # (Z, D)
+    ps = np.stack([m + np.exp(0.5 * lv) * noise[:, c + 1]
+                   for c, (m, lv) in enumerate(embs)], axis=1)      # (Z, C, D)
+    probs1 = class_posterior(qs, ps, None, cfg1)
     checks["posterior rows sum to 1 (1e-12)"] = \
         np.max(np.abs(probs1.sum(axis=1) - 1.0)) < 1e-12
-    probs2, _ = class_posterior(qs, ps, None, SamplingConfig(Z=Z, tau=5.0, D=D))
+    probs2 = class_posterior(qs, ps, None, SamplingConfig(Z=Z, tau=5.0, D=D))
     checks["tau preserves per-sample argmax"] = \
         np.array_equal(probs1.argmax(axis=1), probs2.argmax(axis=1))
 
     # translation invariance of the posterior
     shift = rng.uniform(-2, 2, D)
-    qs_t = [LatentSample(Tensor(s.values.data + shift)) for s in qs]
-    ps_t = {c: [LatentSample(Tensor(s.values.data + shift)) for s in ps[c]]
-            for c in range(C)}
-    probs_t, _ = class_posterior(qs_t, ps_t, None, cfg1)
+    probs_t = class_posterior(qs + shift, ps + shift, None, cfg1)
     checks["posterior translation invariance (1e-12)"] = \
         np.max(np.abs(probs_t - probs1)) < 1e-12
 
-    # weighted-distance degenerations
-    a, b = Tensor(rng.uniform(-1, 1, D)), Tensor(rng.uniform(-1, 1, D))
-    plain = weighted_distance(a, b).item()
+    # weighted-distance degenerations, on the loss's distance kernel
+    a, b = rng.uniform(-1, 1, D), rng.uniform(-1, 1, D)
+
+    def kernel_distance(logvar):
+        qs, ps = a[None, None].copy(), b[None, None].copy()    # (1, 1, D) each
+        _centre(qs, ps)
+        return np.sqrt(_sq_distances(qs, ps, np.exp(-logvar)[None]))[0, 0, 0]
+    plain = np.linalg.norm(a - b)
     checks["zero logvar weighting equals plain L2 (1e-12)"] = \
-        abs(weighted_distance(a, b, np.zeros(D)).item() - plain) < 1e-12
+        abs(kernel_distance(np.zeros(D)) - plain) < 1e-12
     lv = np.zeros(D)
     lv[0] = 20.0
-    dropped = np.linalg.norm(np.exp(-0.5 * lv)[1:] * (a.data - b.data)[1:])
+    dropped = np.linalg.norm(np.exp(-0.5 * lv)[1:] * (a - b)[1:])
     checks["sigma=20 effectively drops the coordinate (1e-6)"] = \
-        abs(weighted_distance(a, b, lv).item() - dropped) < 1e-6
+        abs(kernel_distance(lv) - dropped) < 1e-6
 
     # prototype idempotence
-    e = VariationalEmbedding(Tensor(rng.uniform(-1, 1, D)),
-                             Tensor(rng.uniform(-1, 1, D)))
-    p1 = compute_prototype([e], 1, 0)
+    e_mean, e_logvar = Tensor(rng.uniform(-1, 1, (1, D))), Tensor(rng.uniform(-1, 1, (1, D)))
+    p1 = batch_prototype(1, 0, e_mean, e_logvar, [0])
     # 4 copies: dividing by a power of two keeps the average exact
-    p2 = compute_prototype([VariationalEmbedding(p1.mean, p1.logvar)] * 4, 1, 0)
+    p2 = batch_prototype(1, 0, Tensor(p1.mean.data[None]), Tensor(p1.logvar.data[None]),
+                         [0] * 4)
     checks["prototype idempotence (bitwise)"] = \
         np.array_equal(p1.mean.data, p2.mean.data) and \
         np.array_equal(p1.logvar.data, p2.logvar.data)
@@ -291,7 +284,8 @@ def test_criterion_6_invariants(report):
 
 def test_criterion_7_ablations(report):
     ds, schedule, _ = class_setup()
-    variants = [("unweighted_distance", dict(unweighted_distance=True), 16),
+    variants = [("unweighted_distance",
+                 dict(sampling=SamplingConfig(Z=10, tau=1.0, D=16, weighted=False)), 16),
                 ("replay_order=backward", dict(replay_order="backward"), 16),
                 ("replay_order=current_only", dict(replay_order="current_only"), 16),
                 ("recall=mean_only", dict(recall="mean_only"), 16),

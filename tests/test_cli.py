@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import protoreplay.autodiff as ad
-from protoreplay.cli import _build_dataset, main
+from protoreplay.cli import _Section, _build_dataset, _trainer_config, main
 
 
 def run_config(tmp_path, **overrides):
@@ -55,6 +55,24 @@ def test_footprint_baseline_modes(capsys):
     out = capsys.readouterr().out
     assert "regularizer parameters: 1,631,500" in out
     assert "total: 3,263,000" in out
+
+
+def test_footprint_takes_the_prototype_width_from_the_architecture(capsys):
+    # mnist_like_28 is built at D = 50 unless --latent-dim says otherwise
+    args = ["footprint", "--arch", "mnist_like_28", "--mode", "ours", "--exemplars", "2",
+            "--exemplar-shape", "1,28,28"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "prototype elements: 200" in out
+    assert main(args + ["--latent-dim", "50"]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("latent_dim", ["0", "-3"])
+def test_footprint_rejects_a_latent_dim_below_one(capsys, latent_dim):
+    assert main(["footprint", "--arch", "mnist_like_28", "--mode", "ours",
+                 "--latent-dim", latent_dim]) == 2
+    assert f"error: --latent-dim must be >= 1, got {latent_dim}" in capsys.readouterr().err
 
 
 def test_run_writes_artifacts_and_is_reproducible(tmp_path, capsys):
@@ -235,11 +253,22 @@ def readme_config():
     ({"schedule": {"kind": "cifar_like"}}, 0, "out", "run complete"),
     ({"protocol": "incremental_task"}, 2, "err", "unknown protocol 'incremental_task'"),
     ({"ablation": ["recall", "mean_only"]}, 2, "err", "ablation must be a JSON object"),
+    # a JSON string is not a boolean, however it reads
+    ({"ablation": {"unweighted_distance": "false"}}, 2, "err",
+     "ablation.unweighted_distance must be true or false, got 'false'"),
+    ({"replay_weight": float("nan")}, 2, "err", "replay_weight must be finite, got nan"),
+    ({"tau": float("inf")}, 2, "err", "tau must be finite, got inf"),
 ])
 def test_run_config_forms(tmp_path, capsys, overrides, code, stream, fragment):
     cfg = run_config(tmp_path, **overrides)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
     assert fragment in getattr(capsys.readouterr(), stream)
+
+
+def test_ablation_unweighted_distance_sets_sampling_weighted():
+    for unweighted in (False, True):
+        cfg = _Section({"ablation": {"unweighted_distance": unweighted}}, "config")
+        assert _trainer_config(cfg).sampling.weighted is (not unweighted)
 
 
 def test_unknown_schedule_kind_exits_two(tmp_path, capsys):
@@ -283,6 +312,8 @@ def test_config_value_of_the_wrong_type_exits_two(tmp_path, capsys, key, value, 
     ("dataset", "seed", 1.5, "dataset.seed must be an integer, got 1.5"),
     ("dataset", "separation", "5", "dataset.separation must be a real number, got '5'"),
     ("dataset", "separation", True, "dataset.separation must be a real number, got True"),
+    ("dataset", "separation", float("nan"), "dataset.separation must be finite, got nan"),
+    ("dataset", "noise", float("-inf"), "dataset.noise must be finite, got -inf"),
     ("dataset", "per_class_test", 0, "dataset.per_class_test must be >= 1, got 0"),
     ("dataset", "dim", 0, "dataset.dim must be >= 1, got 0"),
     ("dataset", "num_classes", None, "dataset.num_classes is required"),

@@ -7,7 +7,7 @@ import protoreplay.autodiff as ad
 from protoreplay.autodiff import Tensor, grad_check
 from protoreplay.data import Image
 from protoreplay.encoder import (LOGVAR_BOUND, LayerSpec, baseline_head,
-                                 encode, encode_batch, grow_head, init_encoder,
+                                 encode_batch, grow_head, init_encoder,
                                  param_count, reference_architecture)
 
 
@@ -19,18 +19,18 @@ def small_layers(input_dim=6, hidden=8, D=2):
 def test_zero_weights_give_zero_embedding():
     params = init_encoder(small_layers(), latent_dim=2, seed=0, zero=True)
     img = Image(np.random.default_rng(0).uniform(0, 1, (1, 1, 6)), 0)
-    e = encode(params, img)
-    assert np.array_equal(e.mean.data, np.zeros(2))
-    assert np.array_equal(e.logvar.data, np.zeros(2))
+    mean, logvar = encode_batch(params, img.pixels[None])
+    assert np.array_equal(mean.data, np.zeros((1, 2)))
+    assert np.array_equal(logvar.data, np.zeros((1, 2)))
 
 
 def test_cifar_architecture_shapes_and_latent_500():
     layers = reference_architecture("cifar_like_32")
     params = init_encoder(layers, latent_dim=500, seed=0)
     img = Image(np.random.default_rng(1).uniform(0, 1, (3, 32, 32)), 0)
-    e = encode(params, img)
-    assert e.mean.data.shape == (500,)
-    assert e.logvar.data.shape == (500,)
+    mean, logvar = encode_batch(params, img.pixels[None])
+    assert mean.data.shape == (1, 500)
+    assert logvar.data.shape == (1, 500)
     # flattened conv output feeding fc(3200, 500)
     fc = [l for l in layers if l.kind == "fullyconnected"][0]
     assert fc.dims == (3200, 500)
@@ -94,15 +94,15 @@ def test_mnist_and_synthetic_architectures_end_in_2d():
 def test_encode_deterministic():
     params = init_encoder(small_layers(), latent_dim=2, seed=4)
     img = Image(np.random.default_rng(5).uniform(0, 1, (1, 1, 6)), 0)
-    e1, e2 = encode(params, img), encode(params, img)
-    assert np.array_equal(e1.mean.data, e2.mean.data)
-    assert np.array_equal(e1.logvar.data, e2.logvar.data)
+    (m1, lv1), (m2, lv2) = (encode_batch(params, img.pixels[None]) for _ in range(2))
+    assert np.array_equal(m1.data, m2.data)
+    assert np.array_equal(lv1.data, lv2.data)
 
 
 def test_encode_rejects_shape_mismatch():
     params = init_encoder(small_layers(input_dim=6), latent_dim=2, seed=0)
     with pytest.raises(Exception):
-        encode(params, Image(np.zeros((1, 1, 9)), 0))
+        encode_batch(params, Image(np.zeros((1, 1, 9)), 0).pixels[None])
 
 
 def test_encode_batch_rejects_output_width_other_than_2d():
@@ -119,9 +119,9 @@ def test_logvar_clamped_to_bound():
                if l.kind == "fullyconnected")
     params.weights[last][0].data *= 1e4
     img = Image(np.random.default_rng(7).uniform(0.5, 1, (1, 1, 6)), 0)
-    e = encode(params, img)
-    assert np.all(e.logvar.data <= LOGVAR_BOUND)
-    assert np.all(e.logvar.data >= -LOGVAR_BOUND)
+    _, logvar = encode_batch(params, img.pixels[None])
+    assert np.all(logvar.data <= LOGVAR_BOUND)
+    assert np.all(logvar.data >= -LOGVAR_BOUND)
 
 
 def test_encoder_param_count_class_independent():

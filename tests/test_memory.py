@@ -1,5 +1,7 @@
 """Episodic memory: exemplars, prototype history, footprints, serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -301,3 +303,14 @@ def test_load_rejects_a_repeated_key(tmp_path, field, what):
     with pytest.raises(ValueError, match=what) as err:
         load_memory(bad)
     assert str(bad) in str(err.value)
+
+
+def test_load_rejects_a_class_without_exemplars(tmp_path):
+    # magic; D = 2, one exemplar class, no prototypes, no budget; class 0
+    # holding no image. save_memory never writes such a class.
+    path = tmp_path / "empty-class.bin"
+    path.write_bytes(b"VPRMEM1\x00" + struct.pack("<4q", 2, 1, 0, -1)
+                     + struct.pack("<2q", 0, 0))
+    with pytest.raises(ValueError, match=r"image count \(0,\)") as err:
+        load_memory(path)
+    assert str(path) in str(err.value)

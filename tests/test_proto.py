@@ -13,157 +13,192 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import protoreplay.autodiff as ad
+from protoreplay import proto as proto_module
 from protoreplay.autodiff import Tensor
-from protoreplay.proto import (LatentSample, NoiseStream, SamplingConfig,
-                               VariationalEmbedding, VariationalPrototype,
-                               class_posterior, classification_loss,
-                               compute_prototype, logvar_match_loss,
-                               mixed_classification_loss, replay_loss,
-                               sample_latent, weighted_distance)
-
-
-def emb(mean, logvar=None):
-    mean = np.asarray(mean, dtype=np.float64)
-    lv = np.zeros_like(mean) if logvar is None else np.asarray(logvar, float)
-    return VariationalEmbedding(Tensor(mean), Tensor(lv))
+from protoreplay.proto import (NoiseStream, SamplingConfig, VariationalPrototype,
+                               _centre, _sq_distances, batch_prototype, class_posterior,
+                               logvar_match_loss, mixed_classification_loss)
 
 
 def proto(c, mean, logvar=None, task=1):
-    e = emb(mean, logvar)
-    return VariationalPrototype(task, c, e.mean, e.logvar)
+    mean = np.asarray(mean, dtype=np.float64)
+    lv = np.zeros_like(mean) if logvar is None else np.asarray(logvar, float)
+    return VariationalPrototype(task, c, Tensor(mean), Tensor(lv))
+
+
+def query_loss(queries, online, frozen, cfg, noise):
+    """mixed_classification_loss on queries given as (mean, logvar, label)."""
+    return mixed_classification_loss(Tensor(np.array([m for m, _, _ in queries], float)),
+                                     Tensor(np.array([lv for _, lv, _ in queries], float)),
+                                     [c for _, _, c in queries], online, frozen, cfg, noise)
 
 
 # ---------------------------------------------------------------------------
-# compute_prototype
+# batch_prototype
+
+def prototype_of(means, logvars, rows=None):
+    """batch_prototype over the given rows (default: all) of (N, D) means and
+    log-variances."""
+    rows = range(len(means)) if rows is None else rows
+    return batch_prototype(1, 0, Tensor(np.array(means, float)),
+                           Tensor(np.array(logvars, float)), rows)
+
 
 def test_prototype_of_single_embedding_is_identity():
-    p = compute_prototype([emb([1.0, -2.0], [0.3, 0.4])], 1, 0)
+    p = prototype_of([[1.0, -2.0]], [[0.3, 0.4]])
     assert np.array_equal(p.mean.data, [1.0, -2.0])
     assert np.array_equal(p.logvar.data, [0.3, 0.4])
 
 
 def test_prototype_elementwise_average():
-    p = compute_prototype([emb([1.0, 3.0]), emb([3.0, 5.0])], 1, 0)
+    p = prototype_of([[1.0, 3.0], [3.0, 5.0]], np.zeros((2, 2)))
     assert np.array_equal(p.mean.data, [2.0, 4.0])
 
 
 def test_prototype_idempotent_on_copies():
-    e = emb([0.25, -0.5], [0.125, 1.0])
-    p = compute_prototype([e, e, e, e], 2, 3)
-    assert np.array_equal(p.mean.data, e.mean.data)
-    assert np.array_equal(p.logvar.data, e.logvar.data)
+    mean, logvar = [0.25, -0.5], [0.125, 1.0]
+    p = prototype_of([mean], [logvar], rows=[0, 0, 0, 0])
+    assert np.array_equal(p.mean.data, mean)
+    assert np.array_equal(p.logvar.data, logvar)
 
 
 def test_prototype_permutation_invariance():
     rng = np.random.default_rng(0)
-    embs = [emb(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)) for _ in range(6)]
-    p1 = compute_prototype(embs, 1, 0)
-    p2 = compute_prototype(embs[::-1], 1, 0)
+    means, logvars = rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (6, 4))
+    p1 = prototype_of(means, logvars)
+    p2 = prototype_of(means, logvars, rows=range(5, -1, -1))
     assert np.all(np.abs(p1.mean.data - p2.mean.data) < 1e-15)
     assert np.all(np.abs(p1.logvar.data - p2.logvar.data) < 1e-15)
 
 
-def test_prototype_rejects_empty_list():
-    with pytest.raises(ValueError):
-        compute_prototype([], 1, 0)
+# ---------------------------------------------------------------------------
+# the loss's reparameterized samples
+
+class ConstantNoise:
+    """A noise stream whose every normal is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def standard_normal(self, size):
+        return np.full(size, self.value)
+
+
+def loss_samples(monkeypatch, mean, logvar, Z, noise):
+    """The samples mixed_classification_loss draws for one query of class 0
+    scored against a class-0 prototype of the same mean and log-variance:
+    (query samples (Z, D), prototype samples (Z, D)), read before centring."""
+    seen = []
+    centre = proto_module._centre
+
+    def spy(qs, ps):
+        seen.append((qs[0].copy(), ps[:, 0].copy()))
+        centre(qs, ps)
+    monkeypatch.setattr(proto_module, "_centre", spy)
+    mean, logvar = np.asarray(mean, float), np.asarray(logvar, float)
+    query_loss([(mean, logvar, 0)], [proto(0, mean, logvar)], [],
+               SamplingConfig(Z=Z, D=mean.size), noise)
+    (samples,) = seen
+    return samples
+
+
+def test_loss_samples_with_zero_noise_are_the_means(monkeypatch):
+    qs, ps = loss_samples(monkeypatch, [1.0, 2.0], [0.3, -0.2], 2, ConstantNoise(0.0))
+    assert np.array_equal(qs, [[1.0, 2.0]] * 2)
+    assert np.array_equal(ps, [[1.0, 2.0]] * 2)
+
+
+def test_loss_samples_with_unit_noise_move_one_std(monkeypatch):
+    qs, ps = loss_samples(monkeypatch, [0.0], [0.0], 1, ConstantNoise(1.0))
+    assert np.array_equal(qs, [[1.0]])
+    assert np.array_equal(ps, [[1.0]])
+
+
+def test_loss_samples_monte_carlo_mean(monkeypatch):
+    mean = np.array([0.7, -0.3])
+    qs, ps = loss_samples(monkeypatch, mean, [0.2, -0.1], 10_000,
+                          np.random.default_rng(42))
+    assert np.all(np.abs(qs.mean(axis=0) - mean) < 0.05)
+    assert np.all(np.abs(ps.mean(axis=0) - mean) < 0.05)
 
 
 # ---------------------------------------------------------------------------
-# sample_latent
+# the loss kernel's distance
 
-def test_sample_latent_zero_noise_returns_mean():
-    s = sample_latent(emb([1.0, 2.0]), np.zeros(2))
-    assert np.array_equal(s.values.data, [1.0, 2.0])
-
-
-def test_sample_latent_unit_std():
-    s = sample_latent(emb([0.0]), np.array([1.0]))
-    assert np.array_equal(s.values.data, [1.0])
-
-
-def test_sample_latent_monte_carlo_mean():
-    rng = np.random.default_rng(42)
-    e = emb([0.7, -0.3], [0.2, -0.1])
-    draws = np.stack([sample_latent(e, rng.standard_normal(2)).values.data
-                      for _ in range(10_000)])
-    assert np.all(np.abs(draws.mean(axis=0) - e.mean.data) < 0.05)
+def kernel_distance(a, b, logvar=None):
+    """|exp(-logvar / 2) * (a - b)| for two D-vectors, by _sq_distances on
+    _centre'd samples; unweighted when ``logvar`` is None."""
+    qs = np.array(a, dtype=np.float64)[None, None]                  # (Q=1, Z=1, D)
+    ps = np.array(b, dtype=np.float64)[None, None]                  # (Z=1, C=1, D)
+    w = np.ones(ps.shape[1:]) if logvar is None else np.exp(-np.asarray(logvar))[None]
+    _centre(qs, ps)
+    return math.sqrt(_sq_distances(qs, ps, w)[0, 0, 0])
 
 
-def test_sample_latent_rejects_length_mismatch():
-    with pytest.raises(Exception):
-        sample_latent(emb([1.0, 2.0]), np.zeros(3))
+def test_kernel_distance_zero_for_equal_samples():
+    assert kernel_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
 
 
-# ---------------------------------------------------------------------------
-# weighted_distance
-
-def test_weighted_distance_zero_for_equal_samples():
-    s = LatentSample(Tensor(np.array([1.0, 2.0])))
-    assert weighted_distance(s, s).item() == 0.0
+def test_kernel_distance_logvar_zero_is_plain_l2():
+    assert abs(kernel_distance([3.0, 0.0], [0.0, 4.0], np.zeros(2)) - 5.0) < 1e-12
 
 
-def test_weighted_distance_logvar_zero_is_plain_l2():
-    a = LatentSample(Tensor(np.array([3.0, 0.0])))
-    b = LatentSample(Tensor(np.array([0.0, 4.0])))
-    d = weighted_distance(a, b, np.zeros(2))
-    assert abs(d.item() - 5.0) < 1e-12
+def test_kernel_distance_hand_example():
+    d = kernel_distance([1.0, 0.0], [0.0, 0.0], [2.0 * math.log(2.0), -7.0])
+    assert abs(d - 0.5) < 1e-12
 
 
-def test_weighted_distance_hand_example():
-    a = LatentSample(Tensor(np.array([1.0, 0.0])))
-    b = LatentSample(Tensor(np.array([0.0, 0.0])))
-    d = weighted_distance(a, b, np.array([2.0 * math.log(2.0), -7.0]))
-    assert abs(d.item() - 0.5) < 1e-12
+def test_kernel_distance_large_sigma_drops_coordinate():
+    # sigma = +20 on a coordinate suppresses it: the weighted distance agrees
+    # with a hand computation that omits the coordinate entirely
+    d = kernel_distance([9.0, 1.0, -2.0], [0.0, 4.0, 2.0], [20.0, 0.0, 0.0])
+    omitted = math.sqrt((1.0 - 4.0) ** 2 + (-2.0 - 2.0) ** 2)
+    assert abs(d - omitted) < 1e-6
 
 
-def test_weighted_distance_gradcheck():
-    s2 = LatentSample(Tensor(np.array([0.3, -0.4, 0.1])))
-    lv = np.array([0.2, -0.3, 0.5])
+def test_weighted_loss_gradcheck():
+    # the query's gradient through the variance-weighted distance of the fused
+    # node, against central differences on a fixed noise draw
+    cfg = SamplingConfig(Z=2, tau=1.0, D=3)
+    frozen = [proto(0, [0.3, -0.4, 0.1], [0.2, -0.3, 0.5]),
+              proto(1, [-0.6, 0.2, 0.4], [-0.1, 0.4, 0.3])]
     err = ad.grad_check(
-        lambda v: weighted_distance(LatentSample(v), s2, lv),
-        Tensor(np.array([1.0, 0.5, -0.2])), epsilon=1e-5)
+        lambda m, lv: mixed_classification_loss(m, lv, [0], [], frozen, cfg,
+                                                np.random.default_rng(5)),
+        [Tensor(np.array([[1.0, 0.5, -0.2]])), Tensor(np.array([[0.1, -0.2, 0.3]]))],
+        epsilon=1e-5)
     assert err < 1e-6
 
 
 # ---------------------------------------------------------------------------
 # class_posterior
 
-def sampled(values):
-    return LatentSample(Tensor(np.asarray(values, dtype=np.float64)))
-
-
 def test_posterior_single_class_is_one():
     cfg = SamplingConfig(Z=2, tau=1.0, D=2)
-    probs, ids = class_posterior(
-        [sampled([0.0, 0.0]), sampled([1.0, 1.0])],
-        {0: [sampled([0.5, 0.5]), sampled([0.0, 1.0])]}, None, cfg)
-    assert ids == [0]
+    probs = class_posterior([[0.0, 0.0], [1.0, 1.0]], [[[0.5, 0.5]], [[0.0, 1.0]]],
+                            None, cfg)
+    assert probs.shape == (2, 1)
     assert np.allclose(probs, 1.0)
 
 
 def test_posterior_distance_zero_vs_one():
     cfg = SamplingConfig(Z=1, tau=1.0, D=1)
-    probs, _ = class_posterior(
-        [sampled([0.0])],
-        {0: [sampled([0.0])], 1: [sampled([1.0])]}, None, cfg)
+    probs = class_posterior([[0.0]], [[[0.0], [1.0]]], None, cfg)
     assert abs(probs[0][0] - 0.7311) < 1e-4
     assert abs(probs[0][1] - 0.2689) < 1e-4
 
 
 def test_posterior_uniform_when_equidistant():
     cfg = SamplingConfig(Z=1, tau=2.0, D=2)
-    probs, _ = class_posterior(
-        [sampled([0.0, 0.0])],
-        {0: [sampled([1.0, 0.0])], 1: [sampled([0.0, 1.0])],
-         2: [sampled([-1.0, 0.0])]}, None, cfg)
+    probs = class_posterior([[0.0, 0.0]], [[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]],
+                            None, cfg)
     assert np.all(np.abs(probs - 1.0 / 3.0) < 1e-12)
 
 
 def test_posterior_rejects_wrong_sample_count():
     cfg = SamplingConfig(Z=2, tau=1.0, D=1)
-    with pytest.raises(ValueError):
-        class_posterior([sampled([0.0]), sampled([1.0])],
-                        {0: [sampled([0.0])]}, None, cfg)
+    with pytest.raises(ValueError, match="do not pair"):
+        class_posterior([[0.0], [1.0]], [[[0.0]]], None, cfg)
 
 
 @settings(max_examples=25, deadline=None)
@@ -172,31 +207,26 @@ def test_posterior_rejects_wrong_sample_count():
 def test_posterior_rows_sum_to_one(C, Z, D, tau, seed):
     rng = np.random.default_rng(seed)
     cfg = SamplingConfig(Z=Z, tau=tau, D=D)
-    queries = [sampled(rng.uniform(-1, 1, D)) for _ in range(Z)]
-    protos = {c: [sampled(rng.uniform(-1, 1, D)) for _ in range(Z)]
-              for c in range(C)}
-    probs, _ = class_posterior(queries, protos, None, cfg)
+    queries = rng.uniform(-1, 1, (Z, D))
+    protos = rng.uniform(-1, 1, (Z, C, D))
+    probs = class_posterior(queries, protos, None, cfg)
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
 
 
 def test_weighted_posterior_matches_brute_force_loop():
-    # class c's squared distance is weighted by exp(-logvar_c) when it has
-    # an entry in ``weights``; class 1 has none and stays unweighted
+    # class c's squared distance is weighted by exp(-logvar_c); class 1's
+    # log-variance is zero, so it stays unweighted
     rng = np.random.default_rng(11)
     Z, D, tau = 3, 4, 0.7
-    queries = [rng.uniform(-1, 1, D) for _ in range(Z)]
-    protos = {c: [rng.uniform(-1, 1, D) for _ in range(Z)] for c in range(3)}
-    logvars = {0: rng.uniform(-2, 2, D), 1: np.zeros(D), 2: rng.uniform(-2, 2, D)}
-    weights = {0: logvars[0], 2: Tensor(logvars[2])}
-    args = ([sampled(q) for q in queries],
-            {c: [sampled(s) for s in ss] for c, ss in protos.items()})
-    probs, ids = class_posterior(*args, weights, SamplingConfig(Z=Z, tau=tau, D=D))
-    assert ids == [0, 1, 2]
+    queries = np.array([rng.uniform(-1, 1, D) for _ in range(Z)])
+    protos = np.stack([[rng.uniform(-1, 1, D) for _ in range(Z)] for c in range(3)], axis=1)
+    logvars = np.stack([rng.uniform(-2, 2, D), np.zeros(D), rng.uniform(-2, 2, D)])
+    probs = class_posterior(queries, protos, logvars, SamplingConfig(Z=Z, tau=tau, D=D))
     expected = np.empty((Z, 3))
     for z in range(Z):
         logits = []
         for c in range(3):
-            d2 = sum(np.exp(-logvars[c][d]) * (queries[z][d] - protos[c][z][d]) ** 2
+            d2 = sum(np.exp(-logvars[c][d]) * (queries[z][d] - protos[z][c][d]) ** 2
                      for d in range(D))
             logits.append(-np.sqrt(d2) / tau)
         e = np.exp(np.array(logits) - max(logits))
@@ -204,8 +234,8 @@ def test_weighted_posterior_matches_brute_force_loop():
     assert np.max(np.abs(probs - expected)) < 1e-12
 
     unweighted = SamplingConfig(Z=Z, tau=tau, D=D, weighted=False)
-    ignored, _ = class_posterior(*args, weights, unweighted)
-    assert np.array_equal(ignored, class_posterior(*args, None, unweighted)[0])
+    ignored = class_posterior(queries, protos, logvars, unweighted)
+    assert np.array_equal(ignored, class_posterior(queries, protos, None, unweighted))
     assert np.max(np.abs(ignored - probs)) > 1e-3
 
 
@@ -213,26 +243,30 @@ def test_posterior_translation_invariance():
     rng = np.random.default_rng(7)
     cfg = SamplingConfig(Z=2, tau=1.3, D=3)
     shift = rng.uniform(-5, 5, 3)
-    queries = [rng.uniform(-1, 1, 3) for _ in range(2)]
-    protos = {c: [rng.uniform(-1, 1, 3) for _ in range(2)] for c in range(3)}
-    p1, _ = class_posterior([sampled(q) for q in queries],
-                            {c: [sampled(s) for s in ss]
-                             for c, ss in protos.items()}, None, cfg)
-    p2, _ = class_posterior([sampled(q + shift) for q in queries],
-                            {c: [sampled(s + shift) for s in ss]
-                             for c, ss in protos.items()}, None, cfg)
+    queries = rng.uniform(-1, 1, (2, 3))
+    protos = rng.uniform(-1, 1, (2, 3, 3))
+    p1 = class_posterior(queries, protos, None, cfg)
+    p2 = class_posterior(queries + shift, protos + shift, None, cfg)
     assert np.all(np.abs(p1 - p2) < 1e-12)
+
+
+def test_posterior_leaves_its_inputs_unchanged():
+    rng = np.random.default_rng(12)
+    queries, protos = rng.uniform(-1, 1, (2, 3)), rng.uniform(2, 3, (2, 4, 3))
+    before = queries.copy(), protos.copy()
+    class_posterior(queries, protos, None, SamplingConfig(Z=2, D=3))
+    assert np.array_equal(queries, before[0]) and np.array_equal(protos, before[1])
 
 
 def test_posterior_tau_softens_and_preserves_argmax():
     rng = np.random.default_rng(3)
-    queries = [sampled(rng.uniform(-1, 1, 2))]
-    protos = {c: [sampled(rng.uniform(-1, 1, 2))] for c in range(4)}
+    queries = rng.uniform(-1, 1, (1, 2))
+    protos = rng.uniform(-1, 1, (1, 4, 2))
     maxima = []
     argmaxes = []
     for tau in (0.5, 1.0, 2.0, 4.0):
         cfg = SamplingConfig(Z=1, tau=tau, D=2)
-        probs, _ = class_posterior(queries, protos, None, cfg)
+        probs = class_posterior(queries, protos, None, cfg)
         maxima.append(probs[0].max())
         argmaxes.append(int(probs[0].argmax()))
     assert maxima == sorted(maxima, reverse=True)
@@ -241,33 +275,46 @@ def test_posterior_tau_softens_and_preserves_argmax():
 
 
 # ---------------------------------------------------------------------------
-# classification_loss
+# the loss on online prototypes only (the classification term)
 
-def test_classification_loss_near_zero_on_exact_match():
+def test_online_loss_near_zero_on_exact_match():
     cfg = SamplingConfig(Z=2, tau=1.0, D=2)
     protos = [proto(0, [0.0, 0.0], [-30.0, -30.0]),
               proto(1, [100.0, 100.0], [-30.0, -30.0])]
-    queries = [(emb([0.0, 0.0], [-30.0, -30.0]), 0)]
-    loss = classification_loss(queries, protos, cfg, np.random.default_rng(0))
+    queries = [([0.0, 0.0], [-30.0, -30.0], 0)]
+    loss = query_loss(queries, protos, [], cfg, np.random.default_rng(0))
     assert loss.item() < 1e-6
 
 
-def test_classification_loss_uniform_is_ln2():
+def test_online_loss_uniform_is_ln2():
     # zero-variance queries and prototypes at equal distances
     cfg = SamplingConfig(Z=3, tau=1.0, D=2)
     protos = [proto(0, [1.0, 0.0], [-50.0, -50.0]),
               proto(1, [-1.0, 0.0], [-50.0, -50.0])]
-    queries = [(emb([0.0, 0.0], [-50.0, -50.0]), 0),
-               (emb([0.0, 5.0], [-50.0, -50.0]), 1)]
-    loss = classification_loss(queries, protos, cfg, np.random.default_rng(1))
+    queries = [([0.0, 0.0], [-50.0, -50.0], 0),
+               ([0.0, 5.0], [-50.0, -50.0], 1)]
+    loss = query_loss(queries, protos, [], cfg, np.random.default_rng(1))
     assert abs(loss.item() - math.log(2.0)) < 1e-9
 
 
 def test_classification_loss_rejects_missing_prototype():
     cfg = SamplingConfig(Z=1, tau=1.0, D=1)
-    with pytest.raises(ValueError):
-        classification_loss([(emb([0.0]), 5)], [proto(0, [0.0])], cfg,
-                            np.random.default_rng(0))
+    with pytest.raises(ValueError, match="query label 5 has no prototype"):
+        query_loss([([0.0], [0.0], 5)], [proto(0, [0.0])], [], cfg,
+                   np.random.default_rng(0))
+
+
+def test_replay_loss_rejects_mixed_tasks_and_missing_class():
+    # frozen prototypes of several tasks may be scored together, but not
+    # two tasks' prototypes of one class
+    cfg = SamplingConfig(Z=1, tau=1.0, D=1)
+    with pytest.raises(ValueError, match="duplicate class ids"):
+        query_loss([([0.0], [0.0], 0)], [],
+                   [proto(0, [0.0], task=1), proto(0, [1.0], task=2)],
+                   cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="query label 9 has no prototype"):
+        query_loss([([0.0], [0.0], 9)], [], [proto(0, [0.0], task=1)],
+                   cfg, np.random.default_rng(0))
 
 
 def brute_force_loss(query_params, proto_params, weight_logvars, cfg, seed):
@@ -330,21 +377,20 @@ def assert_matches_oracle(rng_seed, loss_of, frozen_of):
         assert abs(loss.item() - expected) < 1e-12, f"trial {trial}"
 
 
-def test_classification_loss_matches_brute_force_oracle():
+def test_online_loss_matches_brute_force_oracle():
     assert_matches_oracle(
         2024,
-        lambda cfg, protos, queries, frozen, noise: classification_loss(
-            [(emb(m, lv), c) for m, lv, c in queries],
-            [proto(c, m, lv) for c, (m, lv) in protos.items()], cfg, noise),
+        lambda cfg, protos, queries, frozen, noise: query_loss(
+            queries, [proto(c, m, lv) for c, (m, lv) in protos.items()], [], cfg, noise),
         lambda protos, rng: set())
 
 
-def test_replay_loss_matches_brute_force_oracle():
+def test_frozen_loss_matches_brute_force_oracle():
     assert_matches_oracle(
         77,
-        lambda cfg, protos, queries, frozen, noise: replay_loss(
-            [(emb(m, lv), c) for m, lv, c in queries],
-            [proto(c, m, lv, task=3) for c, (m, lv) in protos.items()], cfg, noise),
+        lambda cfg, protos, queries, frozen, noise: query_loss(
+            queries, [], [proto(c, m, lv, task=3) for c, (m, lv) in protos.items()],
+            cfg, noise),
         lambda protos, rng: set(protos))
 
 
@@ -366,62 +412,40 @@ def test_mixed_classification_loss_matches_brute_force_oracle():
 
 
 # ---------------------------------------------------------------------------
-# replay_loss
+# the loss on frozen prototypes only (one past task's replay term)
 
-def test_replay_loss_with_zero_logvar_equals_classification_loss():
+def test_frozen_loss_with_zero_logvar_equals_online_loss():
     rng = np.random.default_rng(5)
     cfg = SamplingConfig(Z=3, tau=1.0, D=3)
     protos = [proto(c, rng.uniform(-1, 1, 3), np.zeros(3), task=2)
               for c in range(3)]
-    queries = [(emb(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)), c)
-               for c in range(3)]
-    r = replay_loss(queries, protos, cfg, np.random.default_rng(9))
-    c = classification_loss(queries, protos, cfg, np.random.default_rng(9))
+    queries = [(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3), c) for c in range(3)]
+    r = query_loss(queries, [], protos, cfg, np.random.default_rng(9))
+    c = query_loss(queries, protos, [], cfg, np.random.default_rng(9))
     assert abs(r.item() - c.item()) < 1e-12
 
 
-def test_replay_loss_exact_recall_near_zero():
+def test_frozen_loss_exact_recall_near_zero():
     cfg = SamplingConfig(Z=2, tau=1.0, D=2)
     stored = [proto(0, [0.0, 0.0], [-40.0, -40.0], task=1),
               proto(1, [50.0, 50.0], [-40.0, -40.0], task=1)]
-    exemplars = [(emb([0.0, 0.0], [-40.0, -40.0]), 0)]
-    loss = replay_loss(exemplars, stored, cfg, np.random.default_rng(0))
+    exemplars = [([0.0, 0.0], [-40.0, -40.0], 0)]
+    loss = query_loss(exemplars, [], stored, cfg, np.random.default_rng(0))
     assert loss.item() < 1e-6
 
 
-def test_weighted_distance_large_sigma_drops_coordinate():
-    # sigma = +20 on a coordinate suppresses it: the weighted distance agrees
-    # with a hand computation that omits the coordinate entirely
-    s1 = LatentSample(Tensor(np.array([9.0, 1.0, -2.0])))
-    s2 = LatentSample(Tensor(np.array([0.0, 4.0, 2.0])))
-    lv = np.array([20.0, 0.0, 0.0])
-    d = weighted_distance(s1, s2, lv).item()
-    omitted = math.sqrt((1.0 - 4.0) ** 2 + (-2.0 - 2.0) ** 2)
-    assert abs(d - omitted) < 1e-6
-
-
-def test_replay_loss_rejects_mixed_tasks_and_missing_class():
-    cfg = SamplingConfig(Z=1, tau=1.0, D=1)
-    with pytest.raises(ValueError):
-        replay_loss([(emb([0.0]), 0)],
-                    [proto(0, [0.0], task=1), proto(1, [1.0], task=2)],
-                    cfg, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        replay_loss([(emb([0.0]), 9)], [proto(0, [0.0], task=1)],
-                    cfg, np.random.default_rng(0))
-
-
-def test_replay_loss_gradients_do_not_reach_stored_prototypes():
+def test_frozen_prototypes_get_no_gradient():
     cfg = SamplingConfig(Z=2, tau=1.0, D=2)
     stored = [proto(c, [float(c), 0.0], [0.1, 0.2], task=1) for c in range(2)]
     for p in stored:
         p.mean.requires_grad = True
         p.logvar.requires_grad = True
-    e = VariationalEmbedding(Tensor(np.array([0.2, 0.3]), requires_grad=True),
-                             Tensor(np.array([0.0, 0.0]), requires_grad=True))
-    loss = replay_loss([(e, 0)], stored, cfg, np.random.default_rng(4))
+    mean = Tensor(np.array([[0.2, 0.3]]), requires_grad=True)
+    logvar = Tensor(np.array([[0.0, 0.0]]), requires_grad=True)
+    loss = mixed_classification_loss(mean, logvar, [0], [], stored, cfg,
+                                     np.random.default_rng(4))
     loss.backward()
-    assert e.mean.grad is not None and np.any(e.mean.grad != 0)
+    assert mean.grad is not None and np.any(mean.grad != 0)
     for p in stored:
         assert p.mean.grad is None or np.all(p.mean.grad == 0)
 
@@ -430,10 +454,8 @@ def test_losses_are_non_negative():
     rng = np.random.default_rng(11)
     for _ in range(20):
         cfg, protos, queries = random_instance(rng)
-        loss = classification_loss(
-            [(emb(m, lv), c) for m, lv, c in queries],
-            [proto(c, m, lv) for c, (m, lv) in protos.items()],
-            cfg, np.random.default_rng(int(rng.integers(0, 1000))))
+        loss = query_loss(queries, [proto(c, m, lv) for c, (m, lv) in protos.items()], [],
+                          cfg, np.random.default_rng(int(rng.integers(0, 1000))))
         assert loss.item() >= 0.0
 
 
@@ -483,7 +505,10 @@ def composed_loss(mean, logvar, labels, protos, cfg, noise, weight_logvar=None):
     ps = ad.add(pm, ad.mul(ad.exp(ad.scale(plv, 0.5)), Tensor(pn)))
     qs = ad.add(ad.reshape(mean, (Q, 1, D)),
                 ad.mul(ad.exp(ad.scale(ad.reshape(logvar, (Q, 1, D)), 0.5)), Tensor(qn)))
-    dist = weighted_distance(ad.reshape(qs, (Q, Z, 1, D)), ps, weight_logvar)
+    diff = ad.sub(ad.reshape(qs, (Q, Z, 1, D)), ps)
+    if weight_logvar is not None:
+        diff = ad.mul(diff, Tensor(np.exp(-0.5 * weight_logvar)))
+    dist = ad.sqrt(ad.tsum(ad.square(diff), axis=-1))
     logits = ad.scale(dist, -1.0 / cfg.tau)
     return ad.tmean(ad.sub(ad.logsumexp(logits, axis=-1), ad.take_class(logits, labels)))
 
@@ -566,6 +591,10 @@ def test_coincident_samples_give_finite_small_gradients(C, D, Z):
      "duplicate class ids"),
     (lambda: logvar_match_loss(Tensor(np.zeros((1, 2))), [3], [proto(0, [0.0, 0.0])]),
      "exemplar class 3 absent"),
+    (lambda: SamplingConfig(tau=float("inf")), "tau must be finite, got inf"),
+    (lambda: SamplingConfig(tau=float("nan")), "tau must be finite, got nan"),
+    (lambda: SamplingConfig(weighted="false"), "weighted must be True or False, got 'false'"),
+    (lambda: SamplingConfig(weighted=0), "weighted must be True or False, got 0"),
 ])
 def test_validation_errors_name_the_problem(make, fragment):
     with pytest.raises(ValueError, match=fragment):

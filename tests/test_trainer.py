@@ -93,7 +93,9 @@ def test_trainer_config_validation():
     for bad in [dict(learning_rate=0.0), dict(epochs_per_task=0),
                 dict(support_fraction=1.0), dict(replay_weight=-1.0),
                 dict(replay_order="random"), dict(recall="proto_only"),
-                dict(batch_per_class=1), dict(batch_per_class=0)]:
+                dict(batch_per_class=1), dict(batch_per_class=0),
+                dict(replay_weight=float("nan")), dict(learning_rate=float("inf")),
+                dict(support_fraction=float("nan"))]:
         with pytest.raises(ValueError):
             small_cfg(**bad)
 
