@@ -6,7 +6,9 @@ reverse topological order and accumulates gradients additively into every
 leaf that has ``requires_grad`` set; an interior node's gradient is freed as
 soon as it has been passed on to its parents. Inside ``no_grad()`` no node
 is built, so a forward-only pass keeps nothing alive for a backward that
-never runs. The op set is intentionally small: just enough for a
+never runs. The grad-enabled flag is per thread: ``no_grad()`` in one thread
+leaves tracking in every other thread as it was, and a new thread starts
+with tracking on. The op set is intentionally small: just enough for a
 convolutional / fully-connected encoder and the distance-softmax losses
 built on top of it.
 """
@@ -14,6 +16,7 @@ built on top of it.
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
@@ -107,26 +110,34 @@ def _accumulate(t: Tensor, grad: np.ndarray):
         buf += _unbroadcast(grad, t.data.shape)
 
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    enabled = True              # each thread starts tracked
+
+
+_mode = _GradMode()
+
+
+def grad_enabled() -> bool:
+    """Whether ops in the calling thread build nodes (False inside ``no_grad()``)."""
+    return _mode.enabled
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Run the block untracked: every op returns a tensor with no parents and
-    no backward closure. The previous state comes back on exit, also on an
-    exception."""
-    global _grad_enabled
-    saved, _grad_enabled = _grad_enabled, False
+    """Run the block untracked in the calling thread: every op returns a
+    tensor with no parents and no backward closure. The previous state comes
+    back on exit, also on an exception."""
+    saved, _mode.enabled = _mode.enabled, False
     try:
         yield
     finally:
-        _grad_enabled = saved
+        _mode.enabled = saved
 
 
 def _tracked(parents) -> bool:
     """Whether an op on ``parents`` builds a node; an op whose backward
     needs extra forward state builds it only then."""
-    return _grad_enabled and any(p.requires_grad or p._backward is not None
+    return _mode.enabled and any(p.requires_grad or p._backward is not None
                                  for p in parents)
 
 

@@ -267,9 +267,25 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _exemplar_shape(text: str) -> tuple:
+    """``--exemplar-shape`` as a (C, H, W) tuple of positive integers."""
+    try:
+        shape = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        shape = ()
+    if len(shape) != 3 or min(shape) < 1:
+        raise UsageError(
+            f"--exemplar-shape must be three positive integers C,H,W, got {text!r}")
+    return shape
+
+
 def cmd_footprint(args) -> int:
-    if args.latent_dim is not None and args.latent_dim < 1:
-        raise UsageError(f"--latent-dim must be >= 1, got {args.latent_dim}")
+    for flag, value, low in (("--latent-dim", args.latent_dim, 1),
+                             ("--input-dim", args.input_dim, 1),
+                             ("--exemplars", args.exemplars, 0)):
+        if value is not None and value < low:
+            raise UsageError(f"{flag} must be >= {low}, got {value}")
+    shape = _exemplar_shape(args.exemplar_shape)
     layers = reference_architecture(args.arch, latent_dim=args.latent_dim,
                                     input_dim=args.input_dim)
     D = layers[-1].dims[1] // 2             # the latent width the network is built at
@@ -278,7 +294,6 @@ def cmd_footprint(args) -> int:
     params = init_encoder(layers, D, seed=0, zero=True)
     memory = EpisodicMemory()
     if args.mode == "ours" and args.exemplars:
-        shape = tuple(int(v) for v in args.exemplar_shape.split(","))
         for c in range(args.exemplars):
             memory.exemplars[c] = [Image(np.zeros(shape), c)]
             memory.prototype_history[(1, c)] = VariationalPrototype(

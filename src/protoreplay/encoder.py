@@ -12,6 +12,8 @@ biases (the table's sums contain none), although biases are trained.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -22,6 +24,7 @@ from .autodiff import Tensor
 
 
 LOGVAR_BOUND = 10.0  # log-variance clamp before exponentiation
+TRUNK_CHUNK = 10     # images per chunk when an untracked conv trunk runs on two threads
 
 
 @dataclass(frozen=True)
@@ -85,8 +88,80 @@ def init_encoder(layers: List[LayerSpec], latent_dim: int, seed: int = 0,
 
 
 def forward(params: EncoderParams, x: Tensor) -> Tensor:
-    """Run the layer stack on a batch: (B,C,H,W) in, (B, out) out."""
-    for layer, wb in zip(params.layers, params.weights):
+    """Run the layer stack on a batch: (B,C,H,W) in, (B, out) out.
+
+    An untracked batch (inside ``autodiff.no_grad()``) of more than
+    ``TRUNK_CHUNK`` images, whose layers before the first ``flatten`` include
+    a ``conv``, runs that trunk on two threads when at least two CPUs are
+    usable; ``flatten`` and the layers after it run on the whole batch in the
+    calling thread. The output is byte-equal to the serial path's at any CPU
+    count. A tracked forward, and a stack that starts with ``flatten``, runs
+    serially.
+    """
+    layers, weights = params.layers, params.weights
+    cut = _trunk_end(layers)
+    if (cut and x.shape[0] > TRUNK_CHUNK and not ad.grad_enabled()
+            and len(os.sched_getaffinity(0)) >= 2):
+        x = _trunk_on_two_threads(layers[:cut], weights[:cut], x)
+        layers, weights = layers[cut:], weights[cut:]
+    return _apply(layers, weights, x)
+
+
+def _trunk_end(layers: List[LayerSpec]) -> int:
+    """Index of the first ``flatten`` if a ``conv`` comes before it, else 0."""
+    for i, layer in enumerate(layers):
+        if layer.kind == "flatten":
+            return i if any(l.kind == "conv" for l in layers[:i]) else 0
+    return 0
+
+
+def _trunk_on_two_threads(layers, weights, x: Tensor) -> Tensor:
+    """``layers`` on fixed chunks of ``TRUNK_CHUNK`` images, outputs in chunk
+    order: the calling thread runs the even chunks, one worker the odd ones.
+
+    Each chunk's output is byte-equal to its rows of the whole-batch output:
+    ``conv2d`` is one GEMM per image, and the bias ``add``, ``relu`` and
+    ``maxpool2x2`` work per element or per image. The worker is joined also
+    on an exception, and an exception raised in it is raised here.
+    """
+    data = x.data
+    starts = range(0, data.shape[0], TRUNK_CHUNK)
+    outs = [None] * len(starts)
+    stop = threading.Event()
+    failed = []
+
+    def run(first):
+        for i in range(first, len(starts), 2):
+            if stop.is_set():
+                return
+            chunk = Tensor(data[starts[i]:starts[i] + TRUNK_CHUNK])
+            outs[i] = _apply(layers, weights, chunk).data
+
+    def work():
+        try:
+            with ad.no_grad():
+                run(1)
+        except BaseException as exc:      # raised again in the calling thread
+            failed.append(exc)
+            stop.set()
+
+    worker = threading.Thread(target=work, name="encoder-trunk", daemon=True)
+    worker.start()
+    try:
+        run(0)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return Tensor(np.concatenate(outs))
+
+
+def _apply(layers, weights, x: Tensor) -> Tensor:
+    """``layers`` on the whole of ``x``, in the calling thread."""
+    for layer, wb in zip(layers, weights):
         if layer.kind == "conv":
             w, b = wb
             x = ad.add(ad.conv2d(x, w, padding=layer.padding),

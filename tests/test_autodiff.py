@@ -1,5 +1,6 @@
 """Tensor autodiff: forward examples, backward rules, finite differences."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -435,3 +436,37 @@ def test_no_grad_restores_tracking_after_nesting_and_exceptions():
                 raise RuntimeError("raised inside the inner block")
         assert not _is_tracked()
     assert _is_tracked()
+
+
+def test_no_grad_is_per_thread():
+    # This thread (A) enters no_grad, thread B enters it too, then A leaves:
+    # B must still build no node, and A must be tracked again.
+    b_inside, a_left = threading.Event(), threading.Event()
+    seen = {}
+
+    def thread_b():
+        with ad.no_grad():
+            b_inside.set()
+            a_left.wait(10)
+            seen["B inside, after A left"] = _is_tracked()
+        seen["B after"] = _is_tracked()
+
+    b = threading.Thread(target=thread_b)
+    with ad.no_grad():
+        b.start()
+        b_inside.wait(10)
+    seen["A after"] = _is_tracked()
+    a_left.set()
+    b.join(10)
+    assert not b.is_alive()
+    assert seen == {"B inside, after A left": False, "B after": True, "A after": True}
+
+
+def test_a_new_thread_starts_tracked():
+    seen = []
+    with ad.no_grad():
+        assert not ad.grad_enabled()
+        t = threading.Thread(target=lambda: seen.append((ad.grad_enabled(), _is_tracked())))
+        t.start()
+        t.join(10)
+    assert seen == [(True, True)] and ad.grad_enabled()

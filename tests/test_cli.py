@@ -75,6 +75,24 @@ def test_footprint_rejects_a_latent_dim_below_one(capsys, latent_dim):
     assert f"error: --latent-dim must be >= 1, got {latent_dim}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--arch", "synthetic_vector", "--latent-dim", "4", "--input-dim", "0"],
+     "--input-dim must be >= 1, got 0"),
+    (["--arch", "synthetic_vector", "--latent-dim", "4", "--input-dim", "-2"],
+     "--input-dim must be >= 1, got -2"),
+    (["--arch", "cifar_like_32", "--exemplars", "-3"],
+     "--exemplars must be >= 0, got -3"),
+    (["--arch", "cifar_like_32", "--exemplars", "2", "--exemplar-shape", "0,32,32"],
+     "--exemplar-shape must be three positive integers C,H,W, got '0,32,32'"),
+    (["--arch", "cifar_like_32", "--exemplars", "2", "--exemplar-shape", "a,b"],
+     "--exemplar-shape must be three positive integers C,H,W, got 'a,b'"),
+], ids=["input-dim-0", "input-dim-negative", "exemplars-negative", "exemplar-shape-zero",
+        "exemplar-shape-not-integers"])
+def test_footprint_rejects_an_out_of_range_size(capsys, flags, message):
+    assert main(["footprint", "--mode", "ours", *flags]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_run_writes_artifacts_and_is_reproducible(tmp_path, capsys):
     cfg = run_config(tmp_path)
     out1, out2 = tmp_path / "run1", tmp_path / "run2"

@@ -1,4 +1,9 @@
-"""Encoder architectures, parameter counts, and differentiability."""
+"""Encoder architectures, parameter counts, differentiability, and the
+untracked conv trunk split over two threads."""
+
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,8 +11,8 @@ import pytest
 import protoreplay.autodiff as ad
 from protoreplay.autodiff import Tensor, grad_check
 from protoreplay.data import Image
-from protoreplay.encoder import (LOGVAR_BOUND, LayerSpec, baseline_head,
-                                 encode_batch, grow_head, init_encoder,
+from protoreplay.encoder import (LOGVAR_BOUND, TRUNK_CHUNK, LayerSpec, baseline_head,
+                                 encode_batch, forward, grow_head, init_encoder,
                                  param_count, reference_architecture)
 
 
@@ -153,3 +158,140 @@ def test_encode_batch_gradcheck():
 def test_validation_errors_name_the_problem(make, fragment):
     with pytest.raises(ValueError, match=fragment):
         make()
+
+
+# ---------------------------------------------------------------------------
+# the untracked conv trunk on two threads
+
+def _cifar(head=None):
+    layers = reference_architecture("cifar_like_32", latent_dim=8)
+    return init_encoder(layers if head is None else baseline_head(layers, head), 8, seed=3)
+
+
+def _started_threads(monkeypatch):
+    """Names of the threads started from here on."""
+    names = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            names.append(self.name)
+            super().start()
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return names
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _serial_forward(params, x):
+    """The layer loop on the whole batch, as before the trunk split."""
+    for layer, wb in zip(params.layers, params.weights):
+        if layer.kind == "conv":
+            x = ad.add(ad.conv2d(x, wb[0], padding=layer.padding),
+                       ad.reshape(wb[1], (1, -1, 1, 1)))
+        elif layer.kind == "fullyconnected":
+            x = ad.add(ad.matmul(x, wb[0]), ad.reshape(wb[1], (1, -1)))
+        elif layer.kind == "relu":
+            x = ad.relu(x)
+        elif layer.kind == "maxpool2x2":
+            x = ad.maxpool2x2(x)
+        else:
+            x = ad.reshape(x, (x.shape[0], -1))
+    return x
+
+
+@pytest.mark.parametrize("head", [None, 5], ids=["latent", "baseline"])
+@pytest.mark.parametrize("B", [1, 10, 11, 39, 80])
+def test_untracked_trunk_split_is_byte_equal_to_serial(monkeypatch, head, B):
+    params = _cifar(head)
+    x = Tensor(np.random.default_rng(B).uniform(0, 1, (B, 3, 32, 32)))
+    conv_out = []
+    conv2d = ad.conv2d
+
+    def spy_conv2d(*args, **kwargs):
+        out = conv2d(*args, **kwargs)
+        conv_out.append(out)
+        return out
+    monkeypatch.setattr(ad, "conv2d", spy_conv2d)
+    started = _started_threads(monkeypatch)
+    with ad.no_grad():
+        _cpus(monkeypatch, 1)
+        serial = forward(params, x).data
+        assert started == []
+        _cpus(monkeypatch, 2)
+        split = forward(params, x).data
+    assert started == (["encoder-trunk"] if B > TRUNK_CHUNK else [])
+    assert split.tobytes() == serial.tobytes()
+    # the worker runs its chunks untracked as well
+    assert all(out._backward is None for out in conv_out)
+
+
+def test_the_caller_waits_for_a_slow_worker(monkeypatch):
+    params = _cifar()
+    x = Tensor(np.random.default_rng(2).uniform(0, 1, (50, 3, 32, 32)))
+    with ad.no_grad():
+        _cpus(monkeypatch, 1)
+        serial = forward(params, x).data
+        conv2d = ad.conv2d
+
+        def slow_conv2d(*args, **kwargs):
+            if threading.current_thread().name == "encoder-trunk":
+                time.sleep(0.02)
+            return conv2d(*args, **kwargs)
+        monkeypatch.setattr(ad, "conv2d", slow_conv2d)
+        _cpus(monkeypatch, 2)
+        assert forward(params, x).data.tobytes() == serial.tobytes()
+
+
+@pytest.mark.parametrize("layers", [
+    reference_architecture("mnist_like_28"),
+    reference_architecture("synthetic_vector", latent_dim=4, input_dim=12),
+], ids=["mnist", "vector"])
+def test_stacks_that_start_with_flatten_start_no_thread(monkeypatch, layers):
+    params = init_encoder(layers, 50, seed=0)
+    width = layers[1].dims[0]
+    started = _started_threads(monkeypatch)
+    _cpus(monkeypatch, 2)
+    with ad.no_grad():
+        out = forward(params, Tensor(np.ones((40, 1, 1, width))))
+    assert out.shape[0] == 40 and started == []
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    started = _started_threads(monkeypatch)
+    _cpus(monkeypatch, 1)
+    with ad.no_grad():
+        forward(_cifar(), Tensor(np.ones((40, 3, 32, 32))))
+    assert started == []
+
+
+def test_tracked_forward_never_splits_and_keeps_its_gradients(monkeypatch):
+    x = np.random.default_rng(1).uniform(0, 1, (24, 3, 32, 32))
+
+    def gradients(run):
+        params = _cifar()
+        ad.tsum(ad.square(run(params, Tensor(x)))).backward()
+        return [p.grad.tobytes() for p in params.parameters()]
+
+    started = _started_threads(monkeypatch)
+    _cpus(monkeypatch, 2)
+    assert gradients(forward) == gradients(_serial_forward)
+    assert started == []
+
+
+@pytest.mark.parametrize("where", ["encoder-trunk", "MainThread"])
+def test_a_chunk_error_reaches_the_caller_and_joins_the_worker(monkeypatch, where):
+    conv2d = ad.conv2d
+
+    def failing_conv2d(x, w, padding=0):
+        if threading.current_thread().name == where:
+            raise ad.ShapeError(f"conv2d failed in {where}")
+        return conv2d(x, w, padding=padding)
+    monkeypatch.setattr(ad, "conv2d", failing_conv2d)
+    started = _started_threads(monkeypatch)
+    _cpus(monkeypatch, 2)
+    with ad.no_grad(), pytest.raises(ad.ShapeError, match=f"failed in {where}"):
+        forward(_cifar(), Tensor(np.ones((40, 3, 32, 32))))
+    assert started == ["encoder-trunk"]
+    assert not [t for t in threading.enumerate() if t.name == "encoder-trunk"]
