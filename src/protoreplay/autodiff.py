@@ -8,14 +8,17 @@ soon as it has been passed on to its parents. Inside ``no_grad()`` no node
 is built, so a forward-only pass keeps nothing alive for a backward that
 never runs. The grad-enabled flag is per thread: ``no_grad()`` in one thread
 leaves tracking in every other thread as it was, and a new thread starts
-with tracking on. The op set is intentionally small: just enough for a
-convolutional / fully-connected encoder and the distance-softmax losses
-built on top of it.
+with tracking on. ``usable_cpus()`` and ``beside()`` are the package's one
+CPU probe and one helper-thread primitive; the noise producer and the
+conv-trunk split both run on them. The op set is intentionally small: just
+enough for a convolutional / fully-connected encoder and the
+distance-softmax losses built on top of it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
 
 import numpy as np
@@ -132,6 +135,37 @@ def no_grad():
         yield
     finally:
         _mode.enabled = saved
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one (Linux), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def beside(work, name: str):
+    """Run ``work()`` on one daemon thread named ``name`` while the block
+    runs. The thread is joined on exit, also on an exception; an exception
+    raised in it is then raised here, unless the block raised its own."""
+    failed = []
+
+    def run():
+        try:
+            work()
+        except BaseException as exc:        # raised again in the calling thread
+            failed.append(exc)
+
+    thread = threading.Thread(target=run, name=name, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 def _tracked(parents) -> bool:

@@ -192,8 +192,7 @@ def _environment() -> dict:
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-        else os.cpu_count(),
+        "usable_cpus": ad.usable_cpus(),
     }
 
 
@@ -204,9 +203,15 @@ def cmd_run(args) -> int:
     schedule = _build_schedule(cfg.get("protocol", "incremental_class"),
                                cfg.section("schedule"), dataset, tcfg.seed)
     D = tcfg.sampling.D
-    layers = reference_architecture(cfg.get("architecture", "synthetic_vector"),
-                                    latent_dim=D, input_dim=dataset.train[0].pixels.size)
+    arch, image = cfg.get("architecture", "synthetic_vector"), dataset.train[0].pixels
+    layers = reference_architecture(arch, latent_dim=D, input_dim=image.size)
     cfg.check_read()
+    try:        # one training image through the untrained network, before --out is made
+        with ad.no_grad():
+            encode_batch(init_encoder(layers, D, zero=True), image[None])
+    except ad.ShapeError as exc:
+        raise UsageError(f"architecture {arch!r} does not fit the dataset's {image.shape} "
+                         f"images: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
 
     start = time.time()

@@ -12,7 +12,6 @@ biases (the table's sums contain none), although biases are trained.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import List, Optional
@@ -101,7 +100,7 @@ def forward(params: EncoderParams, x: Tensor) -> Tensor:
     layers, weights = params.layers, params.weights
     cut = _trunk_end(layers)
     if (cut and x.shape[0] > TRUNK_CHUNK and not ad.grad_enabled()
-            and len(os.sched_getaffinity(0)) >= 2):
+            and ad.usable_cpus() >= 2):
         x = _trunk_on_two_threads(layers[:cut], weights[:cut], x)
         layers, weights = layers[cut:], weights[cut:]
     return _apply(layers, weights, x)
@@ -117,45 +116,33 @@ def _trunk_end(layers: List[LayerSpec]) -> int:
 
 def _trunk_on_two_threads(layers, weights, x: Tensor) -> Tensor:
     """``layers`` on fixed chunks of ``TRUNK_CHUNK`` images, outputs in chunk
-    order: the calling thread runs the even chunks, one worker the odd ones.
+    order: the calling thread runs the even chunks, and an ``autodiff.beside``
+    worker the odd ones.
 
     Each chunk's output is byte-equal to its rows of the whole-batch output:
     ``conv2d`` is one GEMM per image, and the bias ``add``, ``relu`` and
-    ``maxpool2x2`` work per element or per image. The worker is joined also
-    on an exception, and an exception raised in it is raised here.
+    ``maxpool2x2`` work per element or per image. Once either side fails,
+    neither takes another chunk, and ``beside`` raises the failure here.
     """
     data = x.data
     starts = range(0, data.shape[0], TRUNK_CHUNK)
     outs = [None] * len(starts)
-    stop = threading.Event()
-    failed = []
+    failed = threading.Event()
 
     def run(first):
-        for i in range(first, len(starts), 2):
-            if stop.is_set():
-                return
-            chunk = Tensor(data[starts[i]:starts[i] + TRUNK_CHUNK])
-            outs[i] = _apply(layers, weights, chunk).data
-
-    def work():
         try:
-            with ad.no_grad():
-                run(1)
-        except BaseException as exc:      # raised again in the calling thread
-            failed.append(exc)
-            stop.set()
+            with ad.no_grad():          # grad mode is per thread
+                for i in range(first, len(starts), 2):
+                    if failed.is_set():
+                        return
+                    chunk = Tensor(data[starts[i]:starts[i] + TRUNK_CHUNK])
+                    outs[i] = _apply(layers, weights, chunk).data
+        except BaseException:
+            failed.set()
+            raise
 
-    worker = threading.Thread(target=work, name="encoder-trunk", daemon=True)
-    worker.start()
-    try:
+    with ad.beside(lambda: run(1), "encoder-trunk"):
         run(0)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
     return Tensor(np.concatenate(outs))
 
 

@@ -175,8 +175,8 @@ def save_memory(memory: EpisodicMemory, path):
 def load_memory(path) -> EpisodicMemory:
     """Read a snapshot written by ``save_memory``. A file that is not one,
     ends early, has bytes after its last record, holds a size field out of
-    range (a class with no exemplar among them), or repeats a class id or a
-    (task, class) key raises ValueError.
+    range (a class with no exemplar among them, or prototypes of latent
+    size 0), or repeats a class id or a (task, class) key raises ValueError.
     Sizes are checked against the bytes left in the file before anything is
     read or allocated."""
     with open(path, "rb") as f:
@@ -198,6 +198,8 @@ def load_memory(path) -> EpisodicMemory:
             raise ValueError(f"{path}: not a memory snapshot (bad magic)")
         latent, n_classes, n_protos, budget = struct.unpack("<4q", read(32))
         check("latent size and counts", (latent, n_classes, n_protos), 0)
+        if n_protos:
+            check("latent size of the prototypes", (latent,), 1)
         memory = EpisodicMemory(budget_elements=None if budget < 0 else budget)
         for _ in range(n_classes):
             c, n_imgs = struct.unpack("<2q", read(16))

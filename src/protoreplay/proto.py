@@ -21,9 +21,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
-import os
-import threading
-from collections import deque
+import queue
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -57,106 +55,83 @@ class NoiseStream:
     ``standard_normal(size)`` returns exactly what the wrapped Generator's
     would: its draws concatenate across calls, so reading them from blocks
     drawn earlier changes no value. Inside ``ahead()`` one producer thread
-    fills a ring of ``BLOCK``-normal blocks while the caller computes, and
-    requests copy from the filled blocks in draw order. The ring grows to the
-    largest single request seen. On exit the draws not yet read are given
-    back, by resetting the generator to the first of them, and the ring is
-    freed, so outside ``ahead()`` the stream is the plain Generator. With
-    fewer than two usable CPUs ``ahead()`` starts no thread.
+    (``autodiff.beside``) fills a ring of ``BLOCK``-normal blocks while the
+    caller computes. The ring is two queues: blank blocks, and filled
+    ``(generator state before, block)`` pairs in draw order, which requests
+    copy from. It grows to the largest single request seen. On exit the
+    draws not yet read are given back, by resetting the generator to the
+    first of them, and the ring is freed, so outside ``ahead()`` the stream
+    is the plain Generator. With fewer than two usable CPUs ``ahead()``
+    starts no thread.
     """
 
     BLOCK = 1 << 16
 
     def __init__(self, gen: np.random.Generator):
         self._gen = gen
-        self._cond = threading.Condition()
-        self._free: deque = deque()     # blank blocks
-        self._full: deque = deque()     # (generator state before, block), in draw order
+        self._blank = None              # queue of blank blocks, inside ahead()
+        self._filled = None             # queue of (state, block), inside ahead()
         self._largest = 0               # blocks in the largest request so far
-        self._blocks = 0                # blocks in the ring
         self._head = None               # the (state, block) being read
         self._pos = 0                   # normals read from it
-        self._running = False
+        self._stop = False              # set on exit: the producer takes no new block
 
     def standard_normal(self, size) -> np.ndarray:
-        if not self._running:
+        if self._filled is None:
             return self._gen.standard_normal(size)
         out = np.empty(size)
         flat = out.reshape(-1)
-        self._grow(-(-flat.size // self.BLOCK))
+        blocks = -(-flat.size // self.BLOCK)
+        self._add_blank(blocks - self._largest)         # the ring grows to the largest request
+        self._largest = max(self._largest, blocks)
         done = 0
         while done < flat.size:
             if self._head is None:
-                with self._cond:
-                    while not self._full:
-                        self._cond.wait()
-                    self._head, self._pos = self._full.popleft(), 0
+                self._head, self._pos = self._filled.get(), 0
             block = self._head[1]
             k = min(self.BLOCK - self._pos, flat.size - done)
             flat[done:done + k] = block[self._pos:self._pos + k]
             done += k
             self._pos += k
             if self._pos == self.BLOCK:
-                with self._cond:
-                    self._free.append(block)
-                    self._cond.notify_all()
+                self._blank.put(block)
                 self._head = None
         return out
 
-    def _grow(self, blocks: int):
-        self._largest = max(self._largest, blocks)
-        if self._largest > self._blocks:
-            with self._cond:
-                self._free.extend(np.empty(self.BLOCK)
-                                  for _ in range(self._largest - self._blocks))
-                self._blocks = self._largest
-                self._cond.notify_all()
+    def _add_blank(self, blocks: int):
+        for _ in range(blocks):
+            self._blank.put(np.empty(self.BLOCK))
 
     def _produce(self):
-        while True:
-            with self._cond:
-                while self._running and not self._free:
-                    self._cond.wait()
-                if not self._running:
-                    return
-                block = self._free.popleft()
+        while (block := self._blank.get()) is not None and not self._stop:
             state = self._gen.bit_generator.state
             self._gen.standard_normal(out=block)
-            with self._cond:
-                self._full.append((state, block))
-                self._cond.notify_all()
-
-    def _give_back(self):
-        """Reset the generator to the first unread draw and free the ring."""
-        if self._head is not None:
-            self._gen.bit_generator.state = self._head[0]
-            self._gen.standard_normal(self._pos)        # the part already read
-        elif self._full:
-            self._gen.bit_generator.state = self._full[0][0]
-        self._head = None
-        self._free.clear()
-        self._full.clear()
-        self._blocks = 0
+            self._filled.put((state, block))
 
     @contextlib.contextmanager
     def ahead(self):
         """Draw ahead on one producer thread for the block; it is joined on
         exit, also on an exception. A nested ``ahead()`` adds no thread."""
-        if self._running or len(os.sched_getaffinity(0)) < 2:
+        if self._filled is not None or ad.usable_cpus() < 2:
             yield
             return
-        self._running = True
-        self._grow(self._largest)
-        producer = threading.Thread(target=self._produce, name="noise-ahead", daemon=True)
-        producer.start()
+        self._blank, self._filled, self._stop = queue.Queue(), queue.Queue(), False
+        self._add_blank(self._largest)
         try:
-            yield
+            with ad.beside(self._produce, "noise-ahead"):
+                try:
+                    yield
+                finally:
+                    self._stop = True
+                    self._blank.put(None)   # wakes a producer that has no blank block
         finally:
-            with self._cond:
-                self._running = False
-                self._cond.notify_all()
-            producer.join()
-            self._give_back()
+            # reset the generator to the first unread draw, and free the ring
+            if self._head is not None:
+                self._gen.bit_generator.state = self._head[0]
+                self._gen.standard_normal(self._pos)    # the part already read
+            elif not self._filled.empty():
+                self._gen.bit_generator.state = self._filled.get()[0]
+            self._blank = self._filled = self._head = None
 
 
 @dataclass

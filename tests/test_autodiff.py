@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,3 +471,25 @@ def test_a_new_thread_starts_tracked():
         t.start()
         t.join(10)
     assert seen == [(True, True)] and ad.grad_enabled()
+
+
+def test_beside_raises_the_blocks_own_exception_over_the_workers():
+    worker_raising = threading.Event()
+
+    def work():
+        worker_raising.set()
+        raise RuntimeError("raised in the worker")
+    with pytest.raises(KeyError, match="raised in the block"):
+        with ad.beside(work, "beside-test"):
+            worker_raising.wait(10)
+            raise KeyError("raised in the block")
+    assert not [t for t in threading.enumerate() if t.name == "beside-test"]
+
+
+def test_autodiff_holds_the_only_cpu_probe_and_helper_thread():
+    # parallel code elsewhere in the package goes through usable_cpus and beside
+    package = Path(ad.__file__).parent
+    found = [(path.name, word) for path in sorted(package.rglob("*.py"))
+             if path.name != "autodiff.py"
+             for word in ("sched_getaffinity", "threading.Thread") if word in path.read_text()]
+    assert found == []

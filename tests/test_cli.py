@@ -251,6 +251,19 @@ def test_unknown_config_key_exits_two(tmp_path, capsys, overrides, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("arch", ["cifar_like_32", "mnist_like_28"])
+def test_architecture_that_does_not_fit_the_dataset_exits_two(tmp_path, capsys, arch):
+    cfg = run_config(tmp_path, architecture=arch,
+                     dataset={"kind": "synthetic", "num_classes": 3, "dim": 20,
+                              "per_class_train": 8, "per_class_test": 6,
+                              "separation": 3.0, "seed": 1})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"architecture '{arch}' does not fit the dataset's (1, 1, 20) images" in err
+    assert not out.exists()
+
+
 def test_readme_example_config_runs(tmp_path, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cfg = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))

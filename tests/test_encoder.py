@@ -266,6 +266,21 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
     assert started == []
 
 
+def test_without_sched_getaffinity_the_cpu_count_gates_the_split(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    params = _cifar()
+    x = Tensor(np.random.default_rng(12).uniform(0, 1, (12, 3, 32, 32)))
+    started = _started_threads(monkeypatch)
+    with ad.no_grad():
+        serial = _serial_forward(params, x).data
+        for cpus, split in ((2, True), (1, False), (None, False)):  # cpu_count() may not know
+            started.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert forward(params, x).data.tobytes() == serial.tobytes()
+            assert started == (["encoder-trunk"] if split else [])
+
+
 def test_tracked_forward_never_splits_and_keeps_its_gradients(monkeypatch):
     x = np.random.default_rng(1).uniform(0, 1, (24, 3, 32, 32))
 

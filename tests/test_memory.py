@@ -314,3 +314,15 @@ def test_load_rejects_a_class_without_exemplars(tmp_path):
     with pytest.raises(ValueError, match=r"image count \(0,\)") as err:
         load_memory(path)
     assert str(path) in str(err.value)
+
+
+def test_load_rejects_prototypes_of_latent_size_zero(tmp_path):
+    # magic; D = 0, no exemplar class, one prototype, no budget; the
+    # (task, class) record (0, 1) then holds zero-width mean and log-variance.
+    # save_memory writes D = 0 only when there are no prototypes.
+    path = tmp_path / "zero-width.bin"
+    path.write_bytes(b"VPRMEM1\x00" + struct.pack("<4q", 0, 0, 1, -1)
+                     + struct.pack("<2q", 0, 1))
+    with pytest.raises(ValueError, match=r"latent size of the prototypes \(0,\)") as err:
+        load_memory(path)
+    assert str(path) in str(err.value)

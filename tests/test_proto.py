@@ -638,7 +638,7 @@ def test_noise_stream_gives_the_generators_values(monkeypatch, block, seed, step
     finally:
         sys.setswitchinterval(interval)
     # left ahead(): the unread draws went back to the generator
-    assert not _producers() and stream._blocks == 0
+    assert not _producers() and stream._blank is stream._filled is None
     assert stream.standard_normal(5).tobytes() == plain.standard_normal(5).tobytes()
 
 
@@ -648,7 +648,7 @@ def test_noise_stream_on_one_cpu_starts_no_thread(monkeypatch):
     with stream.ahead():
         assert not _producers()
         got = [stream.standard_normal(s) for s in ((4, 70000), (3,), (2, 5, 7))]
-        assert stream._blocks == 0
+        assert stream._blank is stream._filled is None
     for g, s in zip(got, ((4, 70000), (3,), (2, 5, 7))):
         assert g.tobytes() == plain.standard_normal(s).tobytes()
 

@@ -211,6 +211,35 @@ def test_run_continual_same_with_noise_drawn_ahead_or_inline(monkeypatch):
     assert run(cpus=2) == run(cpus=1)
 
 
+def test_run_continual_without_sched_getaffinity_matches_one_cpu(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity; os.cpu_count() gates
+    # the noise producer there
+    ds = synthetic_blobs(4, 8, 8, 6, separation=3.0, seed=1)
+    schedule = split_protocol(ds, incremental_class_plan(4, 2, 1, 8), seed=0)
+    cfg = small_cfg(epochs_per_task=2, sampling=SamplingConfig(Z=20, tau=1.0, D=50))
+    monkeypatch.setattr(NoiseStream, "BLOCK", 1000)   # requests span several blocks
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    producers = []
+
+    def loss(*args, **kwargs):
+        producers.append(len(_producers()))
+        return mixed_classification_loss(*args, **kwargs)
+    monkeypatch.setattr(trainer, "mixed_classification_loss", loss)
+
+    def run(cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        producers.clear()
+        matrix, state = run_continual(ds, schedule, small_arch(latent_dim=50), 50, cfg)
+        history = state.memory.prototype_history
+        return set(producers), matrix.rows, [(k, history[k].mean.data.tobytes(),
+                                              history[k].logvar.data.tobytes())
+                                             for k in sorted(history)]
+
+    ahead, inline = run(cpus=2), run(cpus=1)
+    assert ahead[0] == {1} and inline[0] == {0}
+    assert ahead[1:] == inline[1:]
+
+
 def _inf_in_backward(loss_fn):
     """``loss_fn`` plus a zero-valued node whose backward sends inf into the loss."""
     def patched(*args, **kwargs):
