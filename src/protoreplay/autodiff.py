@@ -10,9 +10,10 @@ never runs. The grad-enabled flag is per thread: ``no_grad()`` in one thread
 leaves tracking in every other thread as it was, and a new thread starts
 with tracking on. ``usable_cpus()`` and ``beside()`` are the package's one
 CPU probe and one helper-thread primitive; the noise producer and the
-conv-trunk split both run on them. The op set is intentionally small: just
-enough for a convolutional / fully-connected encoder and the
-distance-softmax losses built on top of it.
+convolutions' image loops run on them. ``conv_block`` fuses a convolution
+with its bias, ReLU and 2x2 max pool, a few images at a time. The op set is
+intentionally small: just enough for a convolutional / fully-connected
+encoder and the distance-softmax losses built on top of it.
 """
 
 from __future__ import annotations
@@ -365,10 +366,76 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data @ b.data, (a, b), backward)
 
 
-def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))     # row-major in a 2x2 block
+_UNROUTED = 4            # pool route of a block output that takes no gradient
+# Images a conv block pools together, after one GEMM each. Pooling one image
+# at a time made so many short numpy calls that two threads passing the
+# interpreter lock back and forth ran the pooling slower than one thread.
+_GROUP = 4
+
+
+def _on_images(B: int, run):
+    """``run(groups)`` over ``range(B)`` cut into consecutive slices of
+    ``_GROUP`` images. With at least two usable CPUs the calling thread takes
+    the even groups and one ``beside`` worker the odd ones; each image writes
+    only its own rows, so the result is byte-equal at any CPU count."""
+    groups = [slice(lo, min(lo + _GROUP, B)) for lo in range(0, B, _GROUP)]
+    if len(groups) > 1 and usable_cpus() >= 2:
+        with beside(lambda: run(groups[1::2]), "conv-images"):
+            run(groups[0::2])
+    else:
+        run(groups)
+
+
+def _pool(x: np.ndarray, out: np.ndarray, route=None):
+    """2x2 max of ``x`` (..., H, W) into ``out`` (..., H/2, W/2): the max of
+    each top pair and each bottom pair, then of the two. With ``route``, also
+    write the corner (an index into ``_CORNERS``) each output came from; a
+    later corner wins only where strictly larger, so ties go to the first in
+    row-major order."""
+    pairs = x.reshape(x.shape[:-1] + (x.shape[-1] // 2, 2))
+    half = np.maximum(pairs[..., 0], pairs[..., 1])         # (..., H, W/2)
+    rows = half.reshape(half.shape[:-2] + (half.shape[-2] // 2, 2, half.shape[-1]))
+    np.maximum(rows[..., 0, :], rows[..., 1, :], out=out)
+    if route is not None:
+        right = pairs[..., 1] > pairs[..., 0]
+        right = right.reshape(rows.shape)
+        low = rows[..., 1, :] > rows[..., 0, :]
+        route[...] = np.where(low, right[..., 1, :] + 2, right[..., 0, :])
+
+
+def _unpool(g: np.ndarray, route: np.ndarray) -> np.ndarray:
+    """Route each output's ``g`` to the corner ``route`` names, as a
+    (..., H/2, 2, W/2, 2) array. It is done on the bits, so every other slot,
+    and each slot of an ``_UNROUTED`` output, holds +0.0 whatever g holds."""
+    h, w = route.shape[-2:]
+    gx = np.empty(route.shape[:-2] + (h, 2, w, 2))
+    gi, gxi = g.view(np.int64), gx.view(np.int64)
+    for c, (i, j) in enumerate(_CORNERS):
+        np.multiply(gi, route == c, out=gxi[..., i, :, j])
+    return gx
+
+
+def conv_block(x: Tensor, w: Tensor, b: Tensor, padding: int = 0) -> Tensor:
+    """``maxpool2x2(relu(conv2d(x, w, padding) + b))``, a few images at a time.
+
+    x: (B, Cin, H, W), w: (Cout, Cin, k, k), b: (Cout,); the convolution's
+    output must have even height and width. One GEMM per image lands in a
+    small reused buffer of ``_GROUP`` images, where the bias, the ReLU and
+    the pooling run while it is in cache. The output and the gradients are
+    byte-equal to the chain of separate ops. The graph keeps the padded input and one pool
+    route per output element, not the pre-activation or any mask. The block
+    runs through ``conv2d``, so a wrapper around ``conv2d`` sees it too.
+    """
+    return conv2d(x, w, padding, block_bias=b)
+
+
+def conv2d(x: Tensor, w: Tensor, padding: int = 0, block_bias: Tensor = None) -> Tensor:
     """2D convolution (cross-correlation), stride 1, zero padding.
 
-    x: (B, Cin, H, W), w: (Cout, Cin, k, k).
+    x: (B, Cin, H, W), w: (Cout, Cin, k, k). Given ``block_bias`` (Cout,),
+    this is ``conv_block``. The image loop, and the input gradient's share
+    of the backward, run on two threads when two CPUs are usable.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: need 4-D input and kernel, got {x.shape} and {w.shape}")
@@ -380,11 +447,18 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     ho, wo = H + 2 * p - k + 1, W + 2 * p - k + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"conv2d: kernel {k} too large for input {x.shape} with padding {p}")
+    block = block_bias is not None
+    if block and block_bias.shape != (co,):
+        raise ShapeError(f"conv_block: bias shape {block_bias.shape}, want ({co},)")
+    if block and (ho % 2 or wo % 2):
+        raise ShapeError(f"conv_block: conv output {ho}x{wo} of input {x.shape} "
+                         f"must have even height and width to pool")
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     # channel-major im2col: row (c, i, j) of an image's (ci*k*k, ho*wo) block
     # is padded channel c shifted by (i, j), copied one image row at a time.
-    # Blocks are built one image at a time in one reused buffer, small enough
-    # to stay in cache; the graph keeps only xp, and the backward rebuilds them.
+    # Blocks are built one image at a time in one reused buffer per thread,
+    # small enough to stay in cache; the graph keeps only xp, and the
+    # backward rebuilds them.
     win = np.lib.stride_tricks.sliding_window_view(xp, (ho, wo), axis=(2, 3))
     K = ci * k * k
     wm = w.data.reshape(co, K)
@@ -393,14 +467,50 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
         np.copyto(buf, win[b])
         return buf.reshape(K, ho * wo)
 
-    cols = np.empty((ci, k, k, ho, wo))
-    out_data = np.empty((B, co, ho * wo))
-    for b in range(B):
-        np.matmul(wm, columns(cols, b), out=out_data[b])
+    parents = (x, w, block_bias) if block else (x, w)
+    if block:
+        bias = block_bias.data.reshape(co, 1, 1)
+        out_data = np.empty((B, co, ho // 2, wo // 2))
+        route = np.empty(out_data.shape, np.uint8) if _tracked(parents) else None
+    else:
+        out_data, route = np.empty((B, co, ho * wo)), None
+
+    def run(groups):
+        cols = np.empty((ci, k, k, ho, wo))
+        pre = np.empty((_GROUP, co, ho, wo)) if block else None
+        for group in groups:
+            for b in range(group.start, group.stop):
+                out = pre[b - group.start].reshape(co, ho * wo) if block else out_data[b]
+                np.matmul(wm, columns(cols, b), out=out)
+            if not block:
+                continue
+            # Adding the bias rounds monotonically and ReLU is monotone, so
+            # both can follow the pooling, on a quarter of the values, with
+            # the separate ops' result. Only the route needs the biased
+            # values, for the ties that rounding makes.
+            biased, pooled = pre[:group.stop - group.start], out_data[group]
+            if route is None:
+                _pool(biased, pooled)
+                pooled += bias
+            else:
+                biased += bias
+                _pool(biased, pooled, route[group])
+            np.maximum(pooled, 0.0, out=pooled)
+            if route is not None:
+                # the ReLU passes no gradient where the pooled value is not positive
+                np.copyto(route[group], _UNROUTED, where=~(pooled > 0))
+    _on_images(B, run)
 
     def backward(g):
+        if block:
+            g = _unpool(g, route).reshape(B, co, ho, wo)
+            # a whole-batch sum, in the order the separate bias add's would take
+            _accumulate(block_bias, g.sum(axis=(0, 2, 3)))
         gm = g.reshape(B, co, ho * wo)
-        if w.requires_grad or w._backward is not None:
+        need_w = w.requires_grad or w._backward is not None
+        gxp = np.zeros(xp.shape) if x.requires_grad or x._backward is not None else None
+
+        def weight_grad():
             # per-image products added in batch order, so gw rounds as a sum
             # over the batch axis would
             cols = np.empty((ci, k, k, ho, wo))
@@ -409,19 +519,35 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
                 np.matmul(gm[b], columns(cols, b).T, out=part if b else gw)
                 if b:
                     gw += part
-            _accumulate(w, gw.reshape(co, ci, k, k))
-        if x.requires_grad or x._backward is not None:
+            return gw.reshape(co, ci, k, k)
+
+        def input_grads(images):
             # col2im: row (c, i, j) adds back onto channel c at shift (i, j)
             gcols = np.empty((K, ho * wo))
             slabs = gcols.reshape(ci, k, k, ho, wo)
-            gxp = np.zeros(xp.shape)
-            for b in range(B):
+            for b in images:
                 np.matmul(wm.T, gm[b], out=gcols)
                 for i in range(k):
                     for j in range(k):
                         gxp[b, :, i:i + ho, j:j + wo] += slabs[:, i, j]
+
+        gw = None
+        if gxp is not None and usable_cpus() >= 2:
+            # the worker takes three images in four; the caller takes gw, then the rest
+            with beside(lambda: input_grads([b for b in range(B) if b % 4 != 3]),
+                        "conv-images"):
+                gw = weight_grad() if need_w else None
+                input_grads(range(3, B, 4))
+        else:
+            gw = weight_grad() if need_w else None
+            if gxp is not None:
+                input_grads(range(B))
+        if gw is not None:
+            _accumulate(w, gw)
+        if gxp is not None:
             _accumulate(x, gxp[:, :, p:p + H, p:p + W] if p else gxp)
-    return _node(out_data.reshape(B, co, ho, wo), (x, w), backward)
+    out_shape = (B, co, ho // 2, wo // 2) if block else (B, co, ho, wo)
+    return _node(out_data.reshape(out_shape), parents, backward)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
@@ -431,25 +557,12 @@ def maxpool2x2(x: Tensor) -> Tensor:
     B, C, H, W = x.data.shape
     if H % 2 or W % 2:
         raise ShapeError(f"maxpool2x2: spatial dims must be even, got {x.shape}")
-    xr = x.data.reshape(B, C, H // 2, 2, W // 2, 2)
-    corners = ((0, 0), (0, 1), (1, 0), (1, 1))           # row-major in a block
-    q = [xr[:, :, :, i, :, j] for i, j in corners]
-    top, bottom = np.maximum(q[0], q[1]), np.maximum(q[2], q[3])
-    out_data = np.maximum(top, bottom)
-    hits = None
-    if _tracked((x,)):
-        # the corner each output came from: a later one only where strictly larger
-        low, right_top, right_low = bottom > top, q[1] > q[0], q[3] > q[2]
-        high = ~low
-        hits = (high & ~right_top, high & right_top, low & ~right_low, low & right_low)
+    out_data = np.empty((B, C, H // 2, W // 2))
+    route = np.empty(out_data.shape, np.uint8) if _tracked((x,)) else None
+    _pool(x.data, out_data, route)
 
     def backward(g):
-        # on the bits, so an unrouted slot holds +0.0 whatever g holds
-        gx = np.empty(xr.shape)
-        gi, gxi = g.view(np.int64), gx.view(np.int64)
-        for (i, j), hit in zip(corners, hits):
-            np.multiply(gi, hit, out=gxi[:, :, :, i, :, j])
-        _accumulate(x, gx.reshape(B, C, H, W))
+        _accumulate(x, _unpool(g, route).reshape(B, C, H, W))
     return _node(out_data, (x,), backward)
 
 
@@ -458,7 +571,8 @@ def maxpool2x2(x: Tensor) -> Tensor:
 
 # kind -> op for forward_op and the gradient suite; the engine calls ops as attributes
 OPS = {
-    "matmul": matmul, "conv2d": conv2d, "maxpool2x2": maxpool2x2, "relu": relu,
+    "matmul": matmul, "conv2d": conv2d, "conv_block": conv_block,
+    "maxpool2x2": maxpool2x2, "relu": relu,
     "add": add, "sub": sub, "elementwise_mul": mul, "exp": exp, "log": log,
     "scale": scale, "square": square, "sqrt": sqrt, "clip": clip,
     "sum": tsum, "mean_over_axis": mean_over_axis, "reshape": reshape,
@@ -472,6 +586,7 @@ GRAD_CASES = [
     ("matmul", "matmul", {}, [(3, 4), (4, 2)], (-1, 1)),
     ("conv2d", "conv2d", {"padding": 1}, [(1, 2, 4, 4), (3, 2, 3, 3)], (-1, 1)),
     ("conv2d k=5 pad=2", "conv2d", {"padding": 2}, [(2, 3, 6, 6), (4, 3, 5, 5)], (-1, 1)),
+    ("conv_block", "conv_block", {"padding": 2}, [(2, 2, 4, 4), (3, 2, 5, 5), (3,)], (-1, 1)),
     ("maxpool2x2", "maxpool2x2", {}, [(1, 2, 4, 4)], (-1, 1)),
     ("relu", "relu", {}, [(7,)], (-1, 1)),
     ("add", "add", {}, [(3, 4), (4,)], (-1, 1)),

@@ -5,6 +5,7 @@ conv(3,20,5,pad 2) -> relu -> pool -> conv(20,50,5,pad 2) -> relu -> pool ->
 flatten -> fc(3200,500) -> relu -> fc(500,1000), where the final 1000-wide
 output splits into a 500-dim mean and a 500-dim log-variance. Baseline
 classifiers share the trunk but end in fc(500, num_classes) -> softmax.
+Each conv -> relu -> pool triple runs as one fused ``autodiff.conv_block``.
 
 Parameter-count parity with the accounting table deliberately excludes
 biases (the table's sums contain none), although biases are trained.
@@ -12,7 +13,6 @@ biases (the table's sums contain none), although biases are trained.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -23,7 +23,7 @@ from .autodiff import Tensor
 
 
 LOGVAR_BOUND = 10.0  # log-variance clamp before exponentiation
-TRUNK_CHUNK = 10     # images per chunk when an untracked conv trunk runs on two threads
+_BLOCK = ("conv", "relu", "maxpool2x2")   # layers that run as one autodiff.conv_block
 
 
 @dataclass(frozen=True)
@@ -89,66 +89,18 @@ def init_encoder(layers: List[LayerSpec], latent_dim: int, seed: int = 0,
 def forward(params: EncoderParams, x: Tensor) -> Tensor:
     """Run the layer stack on a batch: (B,C,H,W) in, (B, out) out.
 
-    An untracked batch (inside ``autodiff.no_grad()``) of more than
-    ``TRUNK_CHUNK`` images, whose layers before the first ``flatten`` include
-    a ``conv``, runs that trunk on two threads when at least two CPUs are
-    usable; ``flatten`` and the layers after it run on the whole batch in the
-    calling thread. The output is byte-equal to the serial path's at any CPU
-    count. A tracked forward, and a stack that starts with ``flatten``, runs
-    serially.
+    A ``conv`` followed by ``relu`` and ``maxpool2x2`` runs as one
+    ``autodiff.conv_block``, whose image loop runs on two threads when two
+    CPUs are usable; its output is byte-equal to the three separate layers'.
     """
     layers, weights = params.layers, params.weights
-    cut = _trunk_end(layers)
-    if (cut and x.shape[0] > TRUNK_CHUNK and not ad.grad_enabled()
-            and ad.usable_cpus() >= 2):
-        x = _trunk_on_two_threads(layers[:cut], weights[:cut], x)
-        layers, weights = layers[cut:], weights[cut:]
-    return _apply(layers, weights, x)
-
-
-def _trunk_end(layers: List[LayerSpec]) -> int:
-    """Index of the first ``flatten`` if a ``conv`` comes before it, else 0."""
-    for i, layer in enumerate(layers):
-        if layer.kind == "flatten":
-            return i if any(l.kind == "conv" for l in layers[:i]) else 0
-    return 0
-
-
-def _trunk_on_two_threads(layers, weights, x: Tensor) -> Tensor:
-    """``layers`` on fixed chunks of ``TRUNK_CHUNK`` images, outputs in chunk
-    order: the calling thread runs the even chunks, and an ``autodiff.beside``
-    worker the odd ones.
-
-    Each chunk's output is byte-equal to its rows of the whole-batch output:
-    ``conv2d`` is one GEMM per image, and the bias ``add``, ``relu`` and
-    ``maxpool2x2`` work per element or per image. Once either side fails,
-    neither takes another chunk, and ``beside`` raises the failure here.
-    """
-    data = x.data
-    starts = range(0, data.shape[0], TRUNK_CHUNK)
-    outs = [None] * len(starts)
-    failed = threading.Event()
-
-    def run(first):
-        try:
-            with ad.no_grad():          # grad mode is per thread
-                for i in range(first, len(starts), 2):
-                    if failed.is_set():
-                        return
-                    chunk = Tensor(data[starts[i]:starts[i] + TRUNK_CHUNK])
-                    outs[i] = _apply(layers, weights, chunk).data
-        except BaseException:
-            failed.set()
-            raise
-
-    with ad.beside(lambda: run(1), "encoder-trunk"):
-        run(0)
-    return Tensor(np.concatenate(outs))
-
-
-def _apply(layers, weights, x: Tensor) -> Tensor:
-    """``layers`` on the whole of ``x``, in the calling thread."""
-    for layer, wb in zip(layers, weights):
+    i = 0
+    while i < len(layers):
+        layer, wb = layers[i], weights[i]
+        if tuple(l.kind for l in layers[i:i + 3]) == _BLOCK:
+            x = ad.conv_block(x, wb[0], wb[1], padding=layer.padding)
+            i += 3
+            continue
         if layer.kind == "conv":
             w, b = wb
             x = ad.add(ad.conv2d(x, w, padding=layer.padding),
@@ -164,6 +116,7 @@ def _apply(layers, weights, x: Tensor) -> Tensor:
             x = ad.reshape(x, (x.shape[0], -1))
         else:
             raise ValueError(f"unknown layer kind {layer.kind!r}")
+        i += 1
     return x
 
 

@@ -149,14 +149,25 @@ def memory_footprint(encoder: EncoderParams, memory: EpisodicMemory,
 # binary snapshot
 
 def save_memory(memory: EpisodicMemory, path):
-    latent = 0
-    for p in memory.prototype_history.values():
-        latent = p.mean.data.size
-        break
+    """Write ``memory`` as a snapshot ``load_memory`` reads back. The layout
+    holds one latent size, so a prototype whose mean and log-variance differ
+    in size or are empty, or whose size differs from the others', raises
+    ValueError before the file is opened."""
+    latent = None
+    for (t, c), p in sorted(memory.prototype_history.items()):
+        mean, logvar = p.mean.data.size, p.logvar.data.size
+        if mean != logvar or mean < 1:
+            raise ValueError(f"prototype (task={t}, class={c}): mean size {mean} and "
+                             f"log-variance size {logvar} must be equal and at least 1")
+        if latent is not None and mean != latent:
+            raise ValueError(f"prototype (task={t}, class={c}): latent size {mean} != "
+                             f"{latent} of the prototypes before it; a snapshot holds "
+                             f"one latent size")
+        latent = mean
     with open(path, "wb") as f:
         f.write(_MAGIC)
         budget = -1 if memory.budget_elements is None else memory.budget_elements
-        f.write(struct.pack("<4q", latent, len(memory.exemplars),
+        f.write(struct.pack("<4q", latent or 0, len(memory.exemplars),
                             len(memory.prototype_history), budget))
         for c in sorted(memory.exemplars):
             imgs = memory.exemplars[c]
@@ -176,7 +187,8 @@ def load_memory(path) -> EpisodicMemory:
     """Read a snapshot written by ``save_memory``. A file that is not one,
     ends early, has bytes after its last record, holds a size field out of
     range (a class with no exemplar among them, or prototypes of latent
-    size 0), or repeats a class id or a (task, class) key raises ValueError.
+    size 0), stores an image under a class other than its label, or repeats
+    a class id or a (task, class) key raises ValueError.
     Sizes are checked against the bytes left in the file before anything is
     read or allocated."""
     with open(path, "rb") as f:
@@ -209,6 +221,9 @@ def load_memory(path) -> EpisodicMemory:
             imgs = []
             for _ in range(n_imgs):
                 task, index, label, C, H, W = struct.unpack("<6q", read(48))
+                if label != c:
+                    raise ValueError(f"{path}: corrupt memory snapshot: image labelled "
+                                     f"{label} in class {c} before offset {f.tell()}")
                 check("image shape", (C, H, W), 1)
                 pixels = np.frombuffer(read(C * H * W * 8), dtype="<f8") \
                     .reshape(C, H, W).astype(np.float64)

@@ -17,6 +17,7 @@ def test_forward_op_dispatch_covers_contracted_kinds():
     for kind, inputs, attrs, shape in [
             ("matmul", [u(2, 3), u(3, 2)], {}, (2, 2)),
             ("conv2d", [u(1, 1, 4, 4), u(1, 1, 3, 3)], {"padding": 0}, (1, 1, 2, 2)),
+            ("conv_block", [u(1, 1, 4, 4), u(2, 1, 3, 3), u(2)], {"padding": 1}, (1, 2, 2, 2)),
             ("maxpool2x2", [u(1, 1, 4, 4)], {}, (1, 1, 2, 2)),
             ("relu", [u(3)], {}, (3,)), ("exp", [u(3)], {}, (3,)),
             ("add", [u(3), u(3)], {}, (3,)), ("sub", [u(3), u(3)], {}, (3,)),
@@ -263,6 +264,69 @@ def test_tracked_conv2d_keeps_no_column_block():
         tracemalloc.stop()
     assert out._backward is not None
     assert held / 1e6 < 8.0
+
+
+def _block_chain(x, w, b, padding):
+    """conv_block as the separate ops it fuses."""
+    pre = ad.add(ad.conv2d(x, w, padding=padding), ad.reshape(b, (1, -1, 1, 1)))
+    return ad.maxpool2x2(ad.relu(pre))
+
+
+@pytest.mark.parametrize("values", ["uniform", "integers"])
+@pytest.mark.parametrize("B", [1, 3, 40])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_conv_block_bits_match_the_separate_ops(monkeypatch, cpus, B, values):
+    monkeypatch.setattr(ad, "usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(B)
+    if values == "integers":
+        # integer sums tie many 2x2 maxima exactly, and zero many
+        # pre-activations; channel 0's bias leaves each of its windows negative
+        x = rng.integers(-2, 3, (B, 3, 8, 8)).astype(float)
+        w = rng.integers(-1, 2, (4, 3, 3, 3)).astype(float)
+        b = rng.integers(-2, 3, 4).astype(float)
+        b[0] = -100.0
+    else:
+        x, w, b = (rng.uniform(-1, 1, s) for s in ((B, 3, 8, 8), (4, 3, 3, 3), (4,)))
+    # signed, so negative gradients reach corners the ReLU masks
+    g = rng.standard_normal((B, 4, 4, 4))
+    got = []
+    for op in (_block_chain, ad.conv_block):
+        ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = op(*ts, 1)
+        ad.tsum(ad.mul(out, Tensor(g))).backward()
+        with ad.no_grad():              # an untracked block pools before the bias
+            untracked = op(*ts, 1).data.tobytes()
+        got.append([out.data.tobytes(), untracked] + [t.grad.tobytes() for t in ts])
+    assert got[0] == got[1]
+    assert got[1][0] == got[1][1]
+    if values == "integers":
+        assert not np.frombuffer(got[1][0]).reshape(B, 4, 4, 4)[:, 0].any()
+
+
+def test_tracked_conv_block_keeps_no_pre_activation():
+    # The second reference layer at a batch of 40: the graph keeps the 2.6 MB
+    # padded input and a one-byte route per output; the pre-activation alone
+    # would be 4.1 MB.
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.uniform(-1, 1, (40, 20, 16, 16)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (50, 20, 5, 5)), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, 50), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = ad.conv_block(x, w, b, padding=2)
+        held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None and out.shape == (40, 50, 8, 8)
+    assert held / 1e6 < 3.5
+
+
+def test_conv_block_rejects_an_odd_conv_output_and_a_bias_of_another_width():
+    x, w = Tensor(np.ones((1, 2, 5, 6))), Tensor(np.ones((3, 2, 3, 3)))
+    with pytest.raises(ShapeError, match="3x4 .* even height and width"):
+        ad.conv_block(x, w, Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError, match=r"bias shape \(2,\), want \(3,\)"):
+        ad.conv_block(x, w, Tensor(np.zeros(2)), padding=1)
 
 
 def test_maxpool2x2_routes_ties_like_argmax_reference():

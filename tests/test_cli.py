@@ -181,6 +181,9 @@ def test_gradcheck_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "all gradient checks passed" in out
     assert "FAIL" not in out
+    # one row per GRAD_CASES entry, the tied-maxima pooling check and three losses
+    rows = [line.split()[0] for line in out.splitlines() if "max relative error" in line]
+    assert len(rows) == len(ad.GRAD_CASES) + 4 == 28 and "conv_block" in rows
 
 
 def test_gradcheck_fails_on_a_wrong_backward(monkeypatch, capsys):

@@ -1,5 +1,5 @@
 """Encoder architectures, parameter counts, differentiability, and the
-untracked conv trunk split over two threads."""
+conv blocks' image loops over two threads."""
 
 import os
 import threading
@@ -11,7 +11,7 @@ import pytest
 import protoreplay.autodiff as ad
 from protoreplay.autodiff import Tensor, grad_check
 from protoreplay.data import Image
-from protoreplay.encoder import (LOGVAR_BOUND, TRUNK_CHUNK, LayerSpec, baseline_head,
+from protoreplay.encoder import (LOGVAR_BOUND, LayerSpec, baseline_head,
                                  encode_batch, forward, grow_head, init_encoder,
                                  param_count, reference_architecture)
 
@@ -161,7 +161,7 @@ def test_validation_errors_name_the_problem(make, fragment):
 
 
 # ---------------------------------------------------------------------------
-# the untracked conv trunk on two threads
+# the conv blocks' image loops on two threads
 
 def _cifar(head=None):
     layers = reference_architecture("cifar_like_32", latent_dim=8)
@@ -185,7 +185,7 @@ def _cpus(monkeypatch, n):
 
 
 def _serial_forward(params, x):
-    """The layer loop on the whole batch, as before the trunk split."""
+    """The layer loop with separate conv, bias add, ReLU and pool ops."""
     for layer, wb in zip(params.layers, params.weights):
         if layer.kind == "conv":
             x = ad.add(ad.conv2d(x, wb[0], padding=layer.padding),
@@ -213,18 +213,20 @@ def test_untracked_trunk_split_is_byte_equal_to_serial(monkeypatch, head, B):
         out = conv2d(*args, **kwargs)
         conv_out.append(out)
         return out
-    monkeypatch.setattr(ad, "conv2d", spy_conv2d)
-    started = _started_threads(monkeypatch)
     with ad.no_grad():
+        serial = _serial_forward(params, x).data
+        monkeypatch.setattr(ad, "conv2d", spy_conv2d)
+        started = _started_threads(monkeypatch)
         _cpus(monkeypatch, 1)
-        serial = forward(params, x).data
+        one = forward(params, x).data
         assert started == []
         _cpus(monkeypatch, 2)
         split = forward(params, x).data
-    assert started == (["encoder-trunk"] if B > TRUNK_CHUNK else [])
-    assert split.tobytes() == serial.tobytes()
-    # the worker runs its chunks untracked as well
-    assert all(out._backward is None for out in conv_out)
+    # each of the two conv blocks splits its image loop once, if it has two groups
+    assert started == (["conv-images"] * 2 if B > ad._GROUP else [])
+    assert split.tobytes() == one.tobytes() == serial.tobytes()
+    # both blocks run through conv2d, untracked
+    assert len(conv_out) == 4 and all(out._backward is None for out in conv_out)
 
 
 def test_the_caller_waits_for_a_slow_worker(monkeypatch):
@@ -233,13 +235,14 @@ def test_the_caller_waits_for_a_slow_worker(monkeypatch):
     with ad.no_grad():
         _cpus(monkeypatch, 1)
         serial = forward(params, x).data
-        conv2d = ad.conv2d
+        beside = ad.beside
 
-        def slow_conv2d(*args, **kwargs):
-            if threading.current_thread().name == "encoder-trunk":
-                time.sleep(0.02)
-            return conv2d(*args, **kwargs)
-        monkeypatch.setattr(ad, "conv2d", slow_conv2d)
+        def slow_beside(work, name):
+            def slow_work():
+                time.sleep(0.05)
+                work()
+            return beside(slow_work, name)
+        monkeypatch.setattr(ad, "beside", slow_beside)
         _cpus(monkeypatch, 2)
         assert forward(params, x).data.tobytes() == serial.tobytes()
 
@@ -253,16 +256,21 @@ def test_stacks_that_start_with_flatten_start_no_thread(monkeypatch, layers):
     width = layers[1].dims[0]
     started = _started_threads(monkeypatch)
     _cpus(monkeypatch, 2)
+    out = forward(params, Tensor(np.ones((40, 1, 1, width))))
+    ad.tsum(out).backward()
     with ad.no_grad():
-        out = forward(params, Tensor(np.ones((40, 1, 1, width))))
+        forward(params, Tensor(np.ones((40, 1, 1, width))))
     assert out.shape[0] == 40 and started == []
 
 
 def test_one_usable_cpu_starts_no_thread(monkeypatch):
     started = _started_threads(monkeypatch)
     _cpus(monkeypatch, 1)
+    params = _cifar()
+    x = Tensor(np.random.default_rng(0).uniform(0, 1, (40, 3, 32, 32)))
     with ad.no_grad():
-        forward(_cifar(), Tensor(np.ones((40, 3, 32, 32))))
+        forward(params, x)
+    ad.tsum(ad.square(forward(params, x))).backward()
     assert started == []
 
 
@@ -278,10 +286,10 @@ def test_without_sched_getaffinity_the_cpu_count_gates_the_split(monkeypatch):
             started.clear()
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             assert forward(params, x).data.tobytes() == serial.tobytes()
-            assert started == (["encoder-trunk"] if split else [])
+            assert started == (["conv-images"] * 2 if split else [])
 
 
-def test_tracked_forward_never_splits_and_keeps_its_gradients(monkeypatch):
+def test_tracked_forward_splits_and_keeps_its_gradients(monkeypatch):
     x = np.random.default_rng(1).uniform(0, 1, (24, 3, 32, 32))
 
     def gradients(run):
@@ -289,24 +297,37 @@ def test_tracked_forward_never_splits_and_keeps_its_gradients(monkeypatch):
         ad.tsum(ad.square(run(params, Tensor(x)))).backward()
         return [p.grad.tobytes() for p in params.parameters()]
 
+    serial = gradients(_serial_forward)
     started = _started_threads(monkeypatch)
     _cpus(monkeypatch, 2)
-    assert gradients(forward) == gradients(_serial_forward)
-    assert started == []
+    assert gradients(forward) == serial
+    # both forwards split; of the backwards only the second block's forms
+    # an input gradient (pixels take none), and it splits that
+    assert started == ["conv-images"] * 3
 
 
-@pytest.mark.parametrize("where", ["encoder-trunk", "MainThread"])
+@pytest.mark.parametrize("where", ["conv-images", "MainThread"])
 def test_a_chunk_error_reaches_the_caller_and_joins_the_worker(monkeypatch, where):
-    conv2d = ad.conv2d
+    copyto = np.copyto
 
-    def failing_conv2d(x, w, padding=0):
+    def failing_copyto(*args, **kwargs):
         if threading.current_thread().name == where:
-            raise ad.ShapeError(f"conv2d failed in {where}")
-        return conv2d(x, w, padding=padding)
-    monkeypatch.setattr(ad, "conv2d", failing_conv2d)
+            raise ad.ShapeError(f"image copy failed in {where}")
+        return copyto(*args, **kwargs)
+    monkeypatch.setattr(np, "copyto", failing_copyto)
     started = _started_threads(monkeypatch)
     _cpus(monkeypatch, 2)
     with ad.no_grad(), pytest.raises(ad.ShapeError, match=f"failed in {where}"):
         forward(_cifar(), Tensor(np.ones((40, 3, 32, 32))))
-    assert started == ["encoder-trunk"]
-    assert not [t for t in threading.enumerate() if t.name == "encoder-trunk"]
+    assert started == ["conv-images"]
+    assert not [t for t in threading.enumerate() if t.name == "conv-images"]
+
+
+def test_a_block_whose_conv_output_is_odd_raises_shape_error():
+    layers = [LayerSpec("conv", (3, 4, 4), padding=1), LayerSpec("relu"),
+              LayerSpec("maxpool2x2"), LayerSpec("flatten"),
+              LayerSpec("fullyconnected", (4 * 4 * 4, 4))]
+    params = init_encoder(layers, 2, seed=0)
+    # a 7x7 conv output cannot pool, as maxpool2x2 on it could not
+    with pytest.raises(ad.ShapeError, match="even height and width"):
+        forward(params, Tensor(np.ones((2, 3, 8, 8))))

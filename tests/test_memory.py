@@ -316,6 +316,36 @@ def test_load_rejects_a_class_without_exemplars(tmp_path):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("sizes, what", [
+    ([(4, 4), (3, 3)], r"prototype \(task=2, class=0\): latent size 3 != 4"),
+    ([(4, 4), (4, 3)], r"prototype \(task=2, class=0\): mean size 4 and log-variance size 3"),
+    ([(0, 0)], r"prototype \(task=1, class=0\): mean size 0"),
+], ids=["mixed-latent-sizes", "mean-and-logvar-differ", "empty"])
+def test_save_rejects_prototypes_one_latent_size_cannot_hold(tmp_path, sizes, what):
+    # the snapshot stores one latent size; these once saved, and the load failed
+    mem = EpisodicMemory()
+    for task, (mean, logvar) in enumerate(sizes, start=1):
+        mem.prototype_history[(task, 0)] = VariationalPrototype(
+            task, 0, Tensor(np.ones(mean)), Tensor(np.ones(logvar)))
+    path = tmp_path / "mixed.bin"
+    with pytest.raises(ValueError, match=what):
+        save_memory(mem, path)
+    assert not path.exists()
+
+
+def test_load_rejects_an_exemplar_stored_under_another_class(tmp_path):
+    mem, path = saved_memory(tmp_path)
+    data = bytearray(path.read_bytes())
+    offsets, _ = int64_field_offsets(mem)
+    data[offsets[8]:offsets[8] + 8] = struct.pack("<q", 5)    # class 0's first label
+    bad = tmp_path / "relabelled.bin"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"image labelled 5 in class 0 before offset "
+                                         f"{offsets[8] + 32}") as err:
+        load_memory(bad)
+    assert str(bad) in str(err.value)
+
+
 def test_load_rejects_prototypes_of_latent_size_zero(tmp_path):
     # magic; D = 0, no exemplar class, one prototype, no budget; the
     # (task, class) record (0, 1) then holds zero-width mean and log-variance.
