@@ -67,9 +67,6 @@ class Tensor:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar output, got shape {self.shape}")
@@ -101,7 +98,7 @@ class Tensor:
 def _grad_buffer(t: Tensor):
     """``t``'s gradient buffer, allocated on first use; None if ``t`` takes
     no gradient. Indexing ops add into it in place."""
-    if not t.requires_grad and t._backward is None:
+    if not t.requires_grad:
         return None
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
@@ -171,9 +168,9 @@ def beside(work, name: str):
 
 def _tracked(parents) -> bool:
     """Whether an op on ``parents`` builds a node; an op whose backward
-    needs extra forward state builds it only then."""
-    return _mode.enabled and any(p.requires_grad or p._backward is not None
-                                 for p in parents)
+    needs extra forward state builds it only then. A node's ``requires_grad``
+    is set exactly when it has a backward."""
+    return _mode.enabled and any(p.requires_grad for p in parents)
 
 
 def _node(data: np.ndarray, parents, backward) -> Tensor:
@@ -269,10 +266,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape))
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape))
     return _node(out_data, (a,), backward)
@@ -421,11 +415,13 @@ def conv_block(x: Tensor, w: Tensor, b: Tensor, padding: int = 0) -> Tensor:
 
     x: (B, Cin, H, W), w: (Cout, Cin, k, k), b: (Cout,); the convolution's
     output must have even height and width. One GEMM per image lands in a
-    small reused buffer of ``_GROUP`` images, where the bias, the ReLU and
-    the pooling run while it is in cache. The output and the gradients are
-    byte-equal to the chain of separate ops. The graph keeps the padded input and one pool
-    route per output element, not the pre-activation or any mask. The block
-    runs through ``conv2d``, so a wrapper around ``conv2d`` sees it too.
+    small reused buffer of ``_GROUP`` images, where the bias, the pooling
+    and the ReLU run in that order while it is in cache, tracked or not;
+    ReLU is monotone, so pooling before it gives the separate ops' values.
+    The output and the gradients are byte-equal to the chain of separate
+    ops. The graph keeps the padded input and one pool route per output
+    element, not the pre-activation or any mask. The block runs through
+    ``conv2d``, so a wrapper around ``conv2d`` sees it too.
     """
     return conv2d(x, w, padding, block_bias=b)
 
@@ -468,33 +464,23 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0, block_bias: Tensor = None) ->
         return buf.reshape(K, ho * wo)
 
     parents = (x, w, block_bias) if block else (x, w)
-    if block:
-        bias = block_bias.data.reshape(co, 1, 1)
-        out_data = np.empty((B, co, ho // 2, wo // 2))
-        route = np.empty(out_data.shape, np.uint8) if _tracked(parents) else None
-    else:
-        out_data, route = np.empty((B, co, ho * wo)), None
+    out_data = np.empty((B, co, ho // 2, wo // 2) if block else (B, co, ho, wo))
+    route = np.empty(out_data.shape, np.uint8) if block and _tracked(parents) else None
 
     def run(groups):
         cols = np.empty((ci, k, k, ho, wo))
         pre = np.empty((_GROUP, co, ho, wo)) if block else None
         for group in groups:
-            for b in range(group.start, group.stop):
-                out = pre[b - group.start].reshape(co, ho * wo) if block else out_data[b]
-                np.matmul(wm, columns(cols, b), out=out)
+            # one GEMM per image into the group's buffer: the block's small
+            # reused one, or the plain op's slice of the output
+            target = pre[:group.stop - group.start] if block else out_data[group]
+            for i, b in enumerate(range(group.start, group.stop)):
+                np.matmul(wm, columns(cols, b), out=target[i].reshape(co, ho * wo))
             if not block:
                 continue
-            # Adding the bias rounds monotonically and ReLU is monotone, so
-            # both can follow the pooling, on a quarter of the values, with
-            # the separate ops' result. Only the route needs the biased
-            # values, for the ties that rounding makes.
-            biased, pooled = pre[:group.stop - group.start], out_data[group]
-            if route is None:
-                _pool(biased, pooled)
-                pooled += bias
-            else:
-                biased += bias
-                _pool(biased, pooled, route[group])
+            pooled = out_data[group]
+            target += block_bias.data.reshape(co, 1, 1)
+            _pool(target, pooled, None if route is None else route[group])
             np.maximum(pooled, 0.0, out=pooled)
             if route is not None:
                 # the ReLU passes no gradient where the pooled value is not positive
@@ -507,8 +493,7 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0, block_bias: Tensor = None) ->
             # a whole-batch sum, in the order the separate bias add's would take
             _accumulate(block_bias, g.sum(axis=(0, 2, 3)))
         gm = g.reshape(B, co, ho * wo)
-        need_w = w.requires_grad or w._backward is not None
-        gxp = np.zeros(xp.shape) if x.requires_grad or x._backward is not None else None
+        gxp = np.zeros(xp.shape) if x.requires_grad else None
 
         def weight_grad():
             # per-image products added in batch order, so gw rounds as a sum
@@ -536,18 +521,17 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0, block_bias: Tensor = None) ->
             # the worker takes three images in four; the caller takes gw, then the rest
             with beside(lambda: input_grads([b for b in range(B) if b % 4 != 3]),
                         "conv-images"):
-                gw = weight_grad() if need_w else None
+                gw = weight_grad() if w.requires_grad else None
                 input_grads(range(3, B, 4))
         else:
-            gw = weight_grad() if need_w else None
+            gw = weight_grad() if w.requires_grad else None
             if gxp is not None:
                 input_grads(range(B))
         if gw is not None:
             _accumulate(w, gw)
         if gxp is not None:
             _accumulate(x, gxp[:, :, p:p + H, p:p + W] if p else gxp)
-    out_shape = (B, co, ho // 2, wo // 2) if block else (B, co, ho, wo)
-    return _node(out_data.reshape(out_shape), parents, backward)
+    return _node(out_data, parents, backward)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
@@ -637,7 +621,7 @@ def grad_check(f, points, epsilon: float = 1e-5) -> float:
         points = [points]
     for p in points:
         p.requires_grad = True
-        p.zero_grad()
+        p.grad = None
     out = f(*points)
     if out.data.size != 1:
         raise ShapeError(f"grad_check: f returned non-scalar of shape {out.shape}")

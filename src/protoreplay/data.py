@@ -10,6 +10,7 @@ substitutes.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -151,6 +152,21 @@ def permuted_protocol(base: Dataset, num_tasks: int, seed: int) -> ProtocolSched
     return ProtocolSchedule("incremental_domain", tasks)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _plan_entry(t: int, entry):
+    """Task ``t``'s plan entry as (class_ids, quota): a list of integer class
+    ids and a non-negative integer or None, else a ValueError naming it."""
+    if (isinstance(entry, (list, tuple)) and len(entry) == 2
+            and isinstance(entry[0], (list, tuple)) and all(map(_is_int, entry[0]))
+            and (entry[1] is None or _is_int(entry[1]) and entry[1] >= 0)):
+        return entry
+    raise ValueError(f"schedule plan entry {t} is {entry!r}, not a (class_ids, quota) pair "
+                     "of integer class ids and a non-negative integer or null quota")
+
+
 def split_protocol(base: Dataset, schedule_kind, few_shot_quota: int = 10,
                    seed: int = 0) -> ProtocolSchedule:
     """Disjoint-class task schedule with seeded few-shot subsampling.
@@ -177,11 +193,15 @@ def split_protocol(base: Dataset, schedule_kind, few_shot_quota: int = 10,
     elif isinstance(schedule_kind, str):
         raise ValueError(f"unknown schedule kind {schedule_kind!r}: the presets are "
                          "'cifar_like' and 'imagenet_like'")
+    elif isinstance(schedule_kind, (list, tuple)):
+        plan = schedule_kind
     else:
-        plan = list(schedule_kind)
+        raise ValueError(f"schedule kind {schedule_kind!r} is neither a preset name nor "
+                         "a list of (class_ids, quota) pairs")
 
     tasks = []
-    for t, (class_ids, quota) in enumerate(plan, start=1):
+    for t, entry in enumerate(plan, start=1):
+        class_ids, quota = _plan_entry(t, entry)
         train_indices = {}
         for c in class_ids:
             if c not in by_class:

@@ -63,8 +63,7 @@ class FootprintReport:
     prototype_elements_full_history: int = 0
 
 
-def store_exemplars(memory: EpisodicMemory, task_id: int,
-                    images_by_class: Dict[int, List[Image]],
+def store_exemplars(memory: EpisodicMemory, images_by_class: Dict[int, List[Image]],
                     per_class_quota: int, rng) -> EpisodicMemory:
     """Keep ``per_class_quota`` images per class, chosen uniformly without
     replacement (all, if fewer are available)."""

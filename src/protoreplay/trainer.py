@@ -185,8 +185,7 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
 
     old_protos: List[VariationalPrototype] = []
     if protocol == "incremental_class" and previous_tasks:
-        old_protos = [p for p in state.memory.task_prototypes(task_id - 1)
-                      if p.class_id not in by_class]
+        old_protos = list(state.memory.latest_prototypes().values())
         if cfg.recall == "mean_only":
             old_protos = _zeroed_logvars(old_protos)
 
@@ -277,7 +276,7 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
         if protocol == "incremental_domain":
             keys = [(t, c) for t in previous_tasks for c in sorted(state.memory.exemplars)]
         else:
-            keys = [(task_id, c) for c in sorted(state.memory.exemplars) if c not in by_class]
+            keys = [(task_id, c) for c in sorted(state.memory.exemplars)]
         groups += [(t, c, imgs) for t, c in keys
                    if (imgs := _backing(state.memory, t, c, protocol))]
     with ad.no_grad():
@@ -291,7 +290,7 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
         if p.task_id != task_id:
             state.memory.prototype_history[(p.task_id, p.class_id)] = p
 
-    mem.store_exemplars(state.memory, task_id, by_class, quota, state.rng)
+    mem.store_exemplars(state.memory, by_class, quota, state.rng)
     mem.rebalance(state.memory, classes_after, state.rng)
 
     for c in new_classes:

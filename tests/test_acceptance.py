@@ -261,9 +261,9 @@ def test_criterion_6_invariants(report):
 
     # memory budget preservation
     mem = EpisodicMemory(budget_elements=6 * 4)
-    store_exemplars(mem, 1, {c: [Image(rng.uniform(0, 1, (1, 2, 2)), c,
-                                       index=i) for i in range(8)]
-                             for c in range(3)}, 8, np.random.default_rng(0))
+    store_exemplars(mem, {c: [Image(rng.uniform(0, 1, (1, 2, 2)), c,
+                                    index=i) for i in range(8)]
+                          for c in range(3)}, 8, np.random.default_rng(0))
     rebalance(mem, 3, np.random.default_rng(1))
     checks["budget invariant after store/rebalance"] = \
         mem.exemplar_elements() <= mem.budget_elements

@@ -294,7 +294,7 @@ def test_conv_block_bits_match_the_separate_ops(monkeypatch, cpus, B, values):
         ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
         out = op(*ts, 1)
         ad.tsum(ad.mul(out, Tensor(g))).backward()
-        with ad.no_grad():              # an untracked block pools before the bias
+        with ad.no_grad():              # the same bias, pool, ReLU sequence untracked
             untracked = op(*ts, 1).data.tobytes()
         got.append([out.data.tobytes(), untracked] + [t.grad.tobytes() for t in ts])
     assert got[0] == got[1]
@@ -478,6 +478,23 @@ def test_no_grad_ops_build_no_node(index):
         out = forward_op(kind, leaves, attrs)
     assert out._backward is None and out._parents == () and not out.requires_grad
     assert np.array_equal(out.data, tracked.data)
+
+
+@pytest.mark.parametrize("kind", sorted(ad.OPS))
+def test_an_op_sets_requires_grad_exactly_when_it_keeps_a_backward(kind):
+    # the one tracking rule reads requires_grad alone, interior nodes included
+    _, _, attrs, shapes, (lo, hi) = next(c for c in ad.GRAD_CASES if c[1] == kind)
+    rng = np.random.default_rng(4)
+    arrays = [rng.uniform(lo, hi, s) for s in shapes]
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    interior = [ad.scale(t, 1.0) for t in leaves]
+    constants = [Tensor(a) for a in arrays]
+    for inputs, tracked in ((leaves, True), (interior, True), (constants, False)):
+        out = forward_op(kind, inputs, attrs)
+        assert out.requires_grad is tracked and (out._backward is not None) is tracked
+        with ad.no_grad():
+            out = forward_op(kind, inputs, attrs)
+        assert out.requires_grad is False and out._backward is None
 
 
 def _is_tracked():

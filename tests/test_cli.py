@@ -312,6 +312,26 @@ def test_unknown_schedule_kind_exits_two(tmp_path, capsys):
             "'imagenet_like'") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, fragment", [
+    (5, "schedule kind 5 is neither a preset name nor a list of (class_ids, quota) pairs"),
+    ([1, 2], "schedule plan entry 1 is 1, not a (class_ids, quota) pair"),
+    ([[[0, 1], "x"]], "schedule plan entry 1 is [[0, 1], 'x'], not a (class_ids, quota)"),
+    ([[[0, 1], 4], [[2], -1]], "schedule plan entry 2 is [[2], -1], not a (class_ids, quota)"),
+    ([[[True, 1], 4]], "schedule plan entry 1 is [[True, 1], 4], not a (class_ids, quota)"),
+])
+def test_malformed_custom_schedule_plan_exits_two(tmp_path, capsys, kind, fragment):
+    cfg = run_config(tmp_path, schedule={"kind": kind})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
+
+
+def test_custom_schedule_plan_with_a_null_quota_runs(tmp_path, capsys):
+    cfg = run_config(tmp_path, schedule={"kind": [[[0, 1], None], [[2], 8]]})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert "run complete" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("quota, fragment", [
     (1, "task 1: classes [0, 1] have fewer than two training images"),
     (0, "task 1: no training images"),

@@ -33,20 +33,20 @@ def prototype(task, c, D=4):
 
 def test_store_exemplars_respects_quota():
     mem = EpisodicMemory()
-    store_exemplars(mem, 1, {0: images(0, 10)}, 1, np.random.default_rng(0))
+    store_exemplars(mem, {0: images(0, 10)}, 1, np.random.default_rng(0))
     assert len(mem.exemplars[0]) == 1
 
 
 def test_store_exemplars_keeps_all_when_quota_exceeds_supply():
     mem = EpisodicMemory()
-    store_exemplars(mem, 1, {0: images(0, 2)}, 3, np.random.default_rng(0))
+    store_exemplars(mem, {0: images(0, 2)}, 3, np.random.default_rng(0))
     assert len(mem.exemplars[0]) == 2
 
 
 def test_store_exemplars_deterministic_under_seed():
     def run():
         mem = EpisodicMemory()
-        store_exemplars(mem, 1, {0: images(0, 10), 1: images(1, 10)}, 3,
+        store_exemplars(mem, {0: images(0, 10), 1: images(1, 10)}, 3,
                         np.random.default_rng(42))
         return [(c, [img.index for img in imgs])
                 for c, imgs in sorted(mem.exemplars.items())]
@@ -56,9 +56,9 @@ def test_store_exemplars_deterministic_under_seed():
 def test_store_exemplars_rejects_bad_quota_and_empty_class():
     mem = EpisodicMemory()
     with pytest.raises(ValueError):
-        store_exemplars(mem, 1, {0: images(0, 3)}, 0, np.random.default_rng(0))
+        store_exemplars(mem, {0: images(0, 3)}, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        store_exemplars(mem, 1, {0: []}, 1, np.random.default_rng(0))
+        store_exemplars(mem, {0: []}, 1, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +97,13 @@ def test_stored_prototypes_are_detached_copies():
 def test_rebalance_quota_floor():
     elements = 4  # (1, 2, 2) images
     mem = EpisodicMemory(budget_elements=20 * elements)
-    store_exemplars(mem, 1, {0: images(0, 15), 1: images(1, 15)}, 15,
+    store_exemplars(mem, {0: images(0, 15), 1: images(1, 15)}, 15,
                     np.random.default_rng(0))
     rebalance(mem, 2, np.random.default_rng(1))
     assert all(len(v) == 10 for v in mem.exemplars.values())
     # with 10 classes the same budget allows 2 exemplars each
     mem10 = EpisodicMemory(budget_elements=20 * elements)
-    store_exemplars(mem10, 1, {c: images(c, 5) for c in range(10)}, 5,
+    store_exemplars(mem10, {c: images(c, 5) for c in range(10)}, 5,
                     np.random.default_rng(2))
     rebalance(mem10, 10, np.random.default_rng(3))
     assert all(len(v) == 2 for v in mem10.exemplars.values())
@@ -112,7 +112,7 @@ def test_rebalance_quota_floor():
 
 def test_rebalance_always_keeps_one_per_class():
     mem = EpisodicMemory(budget_elements=3 * 4)
-    store_exemplars(mem, 1, {c: images(c, 4) for c in range(3)}, 4,
+    store_exemplars(mem, {c: images(c, 4) for c in range(3)}, 4,
                     np.random.default_rng(0))
     rebalance(mem, 3, np.random.default_rng(1))
     assert all(len(v) >= 1 for v in mem.exemplars.values())
@@ -120,7 +120,7 @@ def test_rebalance_always_keeps_one_per_class():
 
 def test_rebalance_rejects_budget_below_one_each():
     mem = EpisodicMemory(budget_elements=4)
-    store_exemplars(mem, 1, {0: images(0, 2), 1: images(1, 2)}, 2,
+    store_exemplars(mem, {0: images(0, 2), 1: images(1, 2)}, 2,
                     np.random.default_rng(0))
     with pytest.raises(ValueError):
         rebalance(mem, 2, np.random.default_rng(1))
@@ -129,7 +129,7 @@ def test_rebalance_rejects_budget_below_one_each():
 def test_rebalance_deterministic_under_seed():
     def run():
         mem = EpisodicMemory(budget_elements=6 * 4)
-        store_exemplars(mem, 1, {c: images(c, 8) for c in range(3)}, 8,
+        store_exemplars(mem, {c: images(c, 8) for c in range(3)}, 8,
                         np.random.default_rng(5))
         rebalance(mem, 3, np.random.default_rng(6))
         return [(c, [img.index for img in imgs])
@@ -204,7 +204,7 @@ def test_footprint_rejects_unknown_mode():
 def saved_memory(tmp_path):
     """A snapshot with exemplars and prototypes: (memory, its file path)."""
     mem = EpisodicMemory(budget_elements=1000)
-    store_exemplars(mem, 1, {0: images(0, 3), 1: images(1, 2, task=2)}, 3,
+    store_exemplars(mem, {0: images(0, 3), 1: images(1, 2, task=2)}, 3,
                     np.random.default_rng(0))
     store_prototypes(mem, 1, [prototype(1, 0), prototype(1, 1)])
     store_prototypes(mem, 2, [prototype(2, 0)])

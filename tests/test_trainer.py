@@ -389,6 +389,24 @@ def test_replay_weight_changes_the_run():
     assert with_replay.rows != without.rows
 
 
+@pytest.mark.parametrize("replay_weight", [0.0, 1.0])
+def test_new_classes_are_scored_against_every_old_class(monkeypatch, replay_weight):
+    # without replay the old classes' prototypes stay under the task that
+    # learned them, so each task still has to see all of them
+    frozen_at = {}
+
+    def loss(mean, logvar, labels, online, frozen, *rest):
+        if online:
+            frozen_at.setdefault(online[0].task_id, {p.class_id for p in frozen})
+        return mixed_classification_loss(mean, logvar, labels, online, frozen, *rest)
+    monkeypatch.setattr(trainer, "mixed_classification_loss", loss)
+    ds = synthetic_blobs(5, 8, 8, 6, separation=3.0, seed=1)
+    schedule = split_protocol(ds, incremental_class_plan(5, 2, 1, 8), seed=0)
+    run_continual(ds, schedule, small_arch(), 4,
+                  small_cfg(epochs_per_task=1, replay_weight=replay_weight))
+    assert frozen_at == {1: set(), 2: {0, 1}, 3: {0, 1, 2}, 4: {0, 1, 2, 3}}
+
+
 def test_run_continual_matrix_is_lower_triangular():
     ds = synthetic_blobs(4, 8, 8, 6, separation=3.0, seed=1)
     schedule = split_protocol(ds, incremental_class_plan(4, 2, 1, 8), seed=0)
