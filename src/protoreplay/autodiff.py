@@ -431,7 +431,8 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0, block_bias: Tensor = None) ->
 
     x: (B, Cin, H, W), w: (Cout, Cin, k, k). Given ``block_bias`` (Cout,),
     this is ``conv_block``. The image loop, and the input gradient's share
-    of the backward, run on two threads when two CPUs are usable.
+    of the backward (the weight gradient's when the input takes none), run
+    on two threads when two CPUs are usable.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: need 4-D input and kernel, got {x.shape} and {w.shape}")
@@ -506,6 +507,22 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0, block_bias: Tensor = None) ->
                     gw += part
             return gw.reshape(co, ci, k, k)
 
+        def weight_grad_on_images():
+            # weight_grad's products on _on_images, one buffer per image, then
+            # its sum in batch order on the calling thread
+            parts = np.zeros((max(B, 1), co, K))
+
+            def run(groups):
+                cols = np.empty((ci, k, k, ho, wo))
+                for group in groups:
+                    for b in range(group.start, group.stop):
+                        np.matmul(gm[b], columns(cols, b).T, out=parts[b])
+            _on_images(B, run)
+            gw = parts[0]
+            for part in parts[1:]:
+                gw += part
+            return gw.reshape(co, ci, k, k)
+
         def input_grads(images):
             # col2im: row (c, i, j) adds back onto channel c at shift (i, j)
             gcols = np.empty((K, ho * wo))
@@ -517,7 +534,10 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0, block_bias: Tensor = None) ->
                         gxp[b, :, i:i + ho, j:j + wo] += slabs[:, i, j]
 
         gw = None
-        if gxp is not None and usable_cpus() >= 2:
+        if gxp is None:
+            # no input gradient (a first layer): the weight gradient alone is split
+            gw = weight_grad_on_images() if w.requires_grad else None
+        elif usable_cpus() >= 2:
             # the worker takes three images in four; the caller takes gw, then the rest
             with beside(lambda: input_grads([b for b in range(B) if b % 4 != 3]),
                         "conv-images"):
@@ -525,8 +545,7 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0, block_bias: Tensor = None) ->
                 input_grads(range(3, B, 4))
         else:
             gw = weight_grad() if w.requires_grad else None
-            if gxp is not None:
-                input_grads(range(B))
+            input_grads(range(B))
         if gw is not None:
             _accumulate(w, gw)
         if gxp is not None:
@@ -614,8 +633,9 @@ def grad_check(f, points, epsilon: float = 1e-5) -> float:
     """Compare analytic gradients of scalar-valued ``f`` to central differences.
 
     ``points`` is a Tensor or a list of Tensors; ``f`` is called with them
-    positionally and must return a scalar Tensor. Returns the max over all
-    coordinates of |analytic - numeric| / max(1, |numeric|).
+    positionally and must return a scalar Tensor. The central differences
+    run under ``no_grad()``. Returns the max over all coordinates of
+    |analytic - numeric| / max(1, |numeric|).
     """
     if isinstance(points, Tensor):
         points = [points]
@@ -630,16 +650,17 @@ def grad_check(f, points, epsilon: float = 1e-5) -> float:
                 for p in points]
 
     max_err = 0.0
-    for p, ana in zip(points, analytic):
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            hi = f(*points).item()
-            flat[i] = orig - epsilon
-            lo = f(*points).item()
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * epsilon)
-            err = abs(ana.reshape(-1)[i] - numeric) / max(1.0, abs(numeric))
-            max_err = max(max_err, err)
+    with no_grad():                 # the differences need only forward values
+        for p, ana in zip(points, analytic):
+            flat = p.data.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + epsilon
+                hi = f(*points).item()
+                flat[i] = orig - epsilon
+                lo = f(*points).item()
+                flat[i] = orig
+                numeric = (hi - lo) / (2.0 * epsilon)
+                err = abs(ana.reshape(-1)[i] - numeric) / max(1.0, abs(numeric))
+                max_err = max(max_err, err)
     return max_err

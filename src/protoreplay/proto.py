@@ -7,7 +7,8 @@ reparameterization and takes a softmax over (optionally variance-weighted)
 L2 distances; replay regresses re-encoded stored exemplars onto prototypes
 frozen at earlier tasks. Both run one batched loss,
 ``mixed_classification_loss``; ``class_posterior`` is its distance kernel with
-arrays in and out.
+arrays in and out. The loss forms its gradient in its forward, so a tracked
+loss keeps its input gradients, not its samples, until ``backward()``.
 
 Noise-draw order is part of the contract so results are reproducible from a
 seeded generator: each loss first draws prototype noise of shape (Z, C, D)
@@ -234,7 +235,12 @@ def _distance_softmax_ce(query_mean: Tensor, query_logvar: Tensor,
 
     query_mean/logvar: (Q, D); proto_mean/logvar: (C, D) in ascending class
     order; weight_logvar: optional constant (C, D) applied per class. One
-    autodiff node: forward and the analytic backward are plain BLAS.
+    autodiff node, forward and analytic gradient in plain BLAS. The gradient
+    is formed in the forward, at an upstream gradient of 1.0, while the
+    samples are in cache; the node keeps only the (Q, D) and (C, D) input
+    gradients, and its backward adds ``g`` times each into its parent, so no
+    (Q, Z, D) or (Z, C, D) sample outlives the call. An untracked call forms
+    no gradient, and prototypes that take none get none formed.
     """
     Q, D = query_mean.shape
     C = proto_mean.shape[0]
@@ -249,7 +255,7 @@ def _distance_softmax_ce(query_mean: Tensor, query_logvar: Tensor,
     qs = np.multiply(qsd, qn)                                              # (Q, Z, D)
     qs += query_mean.data[:, None, :]
     w = np.ones((C, D)) if weight_logvar is None else np.exp(-weight_logvar)
-    _centre(qs, ps)                         # in place: the backward uses the centred samples
+    _centre(qs, ps)                         # in place: the gradient uses the centred samples
     wps = w * ps
     dist = np.sqrt(_sq_distances(qs, ps, w, wps))                          # (Q, Z, C)
     logits = dist * (-1.0 / cfg.tau)
@@ -259,26 +265,37 @@ def _distance_softmax_ce(query_mean: Tensor, query_logvar: Tensor,
     lse = np.log(total) + top[..., 0]                                      # (Q, Z)
     loss = (lse - logits[np.arange(Q), :, label_idx]).sum() * (1.0 / (Q * Z))
 
-    def backward(g):
+    tracked = ad.grad_enabled()
+    query_takes = tracked and (query_mean.requires_grad or query_logvar.requires_grad)
+    proto_takes = tracked and (proto_mean.requires_grad or proto_logvar.requires_grad)
+    grads = []                              # (parent, its gradient at g = 1.0)
+    if query_takes or proto_takes:
         # h = dL/d(dist^2); an exactly zero distance passes no gradient, as
         # an exactly zero difference does through sqrt(sum(square(diff)))
         dlogits = e / total[..., None]
         dlogits[np.arange(Q), :, label_idx] -= 1.0
-        h = dlogits * (float(g) / (Q * Z) * (-0.5 / cfg.tau))
+        h = dlogits * (1.0 / (Q * Z) * (-0.5 / cfg.tau))
         h /= np.maximum(dist, 1e-150)
         h[dist == 0.0] = 0.0
+    if query_takes:
         g_qs = (h.reshape(Q * Z, C) @ w).reshape(Q, Z, D)
         g_qs *= qs
         g_qs -= np.matmul(h.transpose(1, 0, 2), wps).transpose(1, 0, 2)
         g_qs *= 2.0
+        grads.append((query_mean, g_qs.sum(axis=1)))
+        g_qs *= qn                          # now the log-variance term's
+        grads.append((query_logvar, 0.5 * qsd[:, 0] * g_qs.sum(axis=1)))
+    if proto_takes:
         g_ps = np.matmul(h.transpose(1, 2, 0), qs.transpose(1, 0, 2))   # (Z, C, D)
         g_ps -= ps * h.sum(axis=0)[..., None]
         g_ps *= -2.0 * w
-        ad._accumulate(query_mean, g_qs.sum(axis=1))
-        g_qs *= qn                          # now the log-variance term's
-        ad._accumulate(query_logvar, 0.5 * qsd[:, 0] * g_qs.sum(axis=1))
-        ad._accumulate(proto_mean, g_ps.sum(axis=0))
-        ad._accumulate(proto_logvar, 0.5 * psd * (g_ps * pn).sum(axis=0))
+        grads.append((proto_mean, g_ps.sum(axis=0)))
+        grads.append((proto_logvar, 0.5 * psd * (g_ps * pn).sum(axis=0)))
+
+    def backward(g):
+        # g is exactly 1.0 for an unscaled loss, and then changes no bit
+        for parent, grad in grads:
+            ad._accumulate(parent, g * grad)
     return ad._node(loss, (query_mean, query_logvar, proto_mean, proto_logvar), backward)
 
 

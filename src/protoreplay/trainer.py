@@ -102,13 +102,15 @@ def split_support_query(class_batch: List[Image], support_fraction: float,
 
 
 def sgd_step(params: EncoderParams, learning_rate: float):
-    """w <- w - lr * grad on every parameter, then clear gradients."""
+    """w <- w - lr * grad on every parameter, then clear gradients. Each
+    gradient is scaled in place, so the step allocates nothing."""
     tensors = params.parameters()
     for t in tensors:
         if t.grad is None:
             raise ValueError("sgd_step: parameter has no gradient; run backward first")
     for t in tensors:
-        t.data -= learning_rate * t.grad
+        t.grad *= learning_rate
+        t.data -= t.grad
         t.grad = None
 
 

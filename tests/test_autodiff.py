@@ -303,6 +303,27 @@ def test_conv_block_bits_match_the_separate_ops(monkeypatch, cpus, B, values):
         assert not np.frombuffer(got[1][0]).reshape(B, 4, 4, 4)[:, 0].any()
 
 
+@pytest.mark.parametrize("B", [1, 3, 35])
+@pytest.mark.parametrize("block", [False, True])
+def test_a_first_layer_weight_gradient_is_byte_equal_at_one_and_two_cpus(monkeypatch, B,
+                                                                         block):
+    # pixels take no gradient: with two CPUs the weight gradient's per-image
+    # products run on both threads, and are added in batch order as with one
+    rng = np.random.default_rng(B)
+    x = rng.uniform(0, 1, (B, 3, 32, 32))
+    w, b = rng.uniform(-0.2, 0.2, (20, 3, 5, 5)), rng.uniform(-0.1, 0.1, 20)
+    g = rng.standard_normal((B, 20, 16, 16) if block else (B, 20, 32, 32))
+    got = []
+    for x_takes, cpus in ((False, 1), (False, 2), (True, 1)):
+        monkeypatch.setattr(ad, "usable_cpus", lambda: cpus)
+        xt, wt, bt = Tensor(x, requires_grad=x_takes), Tensor(w, requires_grad=True), \
+            Tensor(b, requires_grad=True)
+        out = ad.conv_block(xt, wt, bt, 2) if block else ad.conv2d(xt, wt, 2)
+        ad.tsum(ad.mul(out, Tensor(g))).backward()
+        got.append(wt.grad.tobytes())
+    assert got[0] == got[1] == got[2]
+
+
 def test_tracked_conv_block_keeps_no_pre_activation():
     # The second reference layer at a batch of 40: the graph keeps the 2.6 MB
     # padded input and a one-byte route per output; the pre-activation alone

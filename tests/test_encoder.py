@@ -301,9 +301,9 @@ def test_tracked_forward_splits_and_keeps_its_gradients(monkeypatch):
     started = _started_threads(monkeypatch)
     _cpus(monkeypatch, 2)
     assert gradients(forward) == serial
-    # both forwards split; of the backwards only the second block's forms
-    # an input gradient (pixels take none), and it splits that
-    assert started == ["conv-images"] * 3
+    # both forwards and both backwards split: the second block's splits its
+    # input gradient, the first's (pixels take none) its weight gradient
+    assert started == ["conv-images"] * 4
 
 
 @pytest.mark.parametrize("where", ["conv-images", "MainThread"])

@@ -492,6 +492,95 @@ def test_mixed_loss_peak_memory_stays_below_two_full_distance_tensors():
     assert peak < 2 * Q * Z * C * D * 8, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_the_loss_node_keeps_no_samples():
+    # The node keeps its four input gradients, 0.45 MB here, and not the
+    # (Q, Z, D) samples and noise (10 MB each) or any (Z, C, D) array.
+    Q, Z, C, D = 50, 50, 6, 500
+    cfg = SamplingConfig(Z=Z, tau=1.0, D=D)
+    mean, logvar, labels, online, frozen = mixed_instance(np.random.default_rng(3), Q, C, D)
+    tracemalloc.start()
+    try:
+        loss = mixed_classification_loss(mean, logvar, labels, online, frozen, cfg,
+                                         np.random.default_rng(4))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loss._backward is not None
+    assert held / 1e6 < 1.0
+
+
+def test_a_scaled_loss_scales_the_finished_gradients():
+    cfg = SamplingConfig(Z=3, tau=0.7, D=3)
+    rng = np.random.default_rng(13)
+    mean, logvar, labels, online, frozen = mixed_instance(rng, 4, 4, 3)
+
+    def loss_of(m, lv, pm, plv, factor):
+        protos = [VariationalPrototype(1, 0, pm, plv)] + online[1:]
+        loss = mixed_classification_loss(m, lv, labels, protos, frozen, cfg,
+                                         np.random.default_rng(6))
+        return loss if factor == 1.0 else ad.scale(loss, factor)
+
+    points = [mean, logvar, online[0].mean, online[0].logvar]
+    grads = []
+    for factor in (1.0, 0.5):
+        for t in points:
+            t.grad = None
+        loss_of(*points, factor).backward()
+        grads.append([t.grad.copy() for t in points])
+    for unit, half in zip(*grads):
+        assert np.any(unit != 0) and half.tobytes() == (0.5 * unit).tobytes()
+    assert ad.grad_check(lambda *xs: loss_of(*xs, 0.5), points) < 1e-6
+
+
+def _matmul_calls(monkeypatch, run) -> int:
+    """np.matmul calls made by ``run()``."""
+    calls = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+    monkeypatch.setattr(np, "matmul", counting)
+    run()
+    return len(calls)
+
+
+@pytest.mark.parametrize("terms, tracked, gemms", [
+    ("online", True, 3),        # distances, query gradient, prototype gradient
+    ("frozen", True, 2),        # a replay term: no prototype gradient
+    ("online", False, 1),       # no_grad(): distances only
+])
+def test_the_loss_forms_only_the_gradients_its_inputs_take(monkeypatch, terms, tracked,
+                                                           gemms):
+    cfg = SamplingConfig(Z=4, tau=1.0, D=5)
+    mean, logvar, labels, online, frozen = mixed_instance(np.random.default_rng(2), 3, 2, 5)
+    protos = online + frozen
+    online, frozen = (protos, []) if terms == "online" else ([], protos)
+
+    def run():
+        with contextlib.nullcontext() if tracked else ad.no_grad():
+            loss = mixed_classification_loss(mean, logvar, labels, online, frozen, cfg,
+                                             np.random.default_rng(1))
+        assert (loss._backward is not None) is tracked
+        if tracked:
+            loss.backward()
+    assert _matmul_calls(monkeypatch, run) == gemms
+    assert (mean.grad is not None) is tracked
+    assert all(p.mean.grad is not None for p in online) is tracked
+    assert all(p.mean.grad is None and p.logvar.grad is None for p in frozen)
+
+
+def test_an_untracked_loss_has_the_tracked_value():
+    cfg = SamplingConfig(Z=4, tau=1.0, D=5)
+    mean, logvar, labels, online, frozen = mixed_instance(np.random.default_rng(7), 3, 4, 5)
+    tracked = mixed_classification_loss(mean, logvar, labels, online, frozen, cfg,
+                                        np.random.default_rng(8))
+    with ad.no_grad():
+        untracked = mixed_classification_loss(mean, logvar, labels, online, frozen, cfg,
+                                              np.random.default_rng(8))
+    assert untracked.data.tobytes() == tracked.data.tobytes()
+
+
 def composed_loss(mean, logvar, labels, protos, cfg, noise, weight_logvar=None):
     """The distance-softmax cross-entropy as a graph of generic autodiff ops,
     for comparing gradients with the fused node. ``protos`` are in ascending
