@@ -60,7 +60,8 @@ def _build_dataset(cfg: "_Section") -> Dataset:
             num_classes=count("num_classes"), dim=count("dim"),
             per_class_train=count("per_class_train"),
             per_class_test=count("per_class_test"),
-            separation=cfg.number("separation", Real), seed=cfg.number("seed", Integral, 0),
+            separation=cfg.number("separation", Real),
+            seed=cfg.number("seed", Integral, 0, least=0),
             noise=cfg.number("noise", Real, 1.0))
     if kind == "idx":
         train = load_idx(cfg["train_images"], cfg["train_labels"])

@@ -107,7 +107,7 @@ def forward(params: EncoderParams, x: Tensor) -> Tensor:
                        ad.reshape(b, (1, -1, 1, 1)))
         elif layer.kind == "fullyconnected":
             w, b = wb
-            x = ad.add(ad.matmul(x, w), ad.reshape(b, (1, -1)))
+            x = ad.add(ad.matmul(x, w), b)        # the (n,) bias broadcasts over rows
         elif layer.kind == "relu":
             x = ad.relu(x)
         elif layer.kind == "maxpool2x2":

@@ -151,7 +151,10 @@ def save_memory(memory: EpisodicMemory, path):
     """Write ``memory`` as a snapshot ``load_memory`` reads back. The layout
     holds one latent size, so a prototype whose mean and log-variance differ
     in size or are empty, or whose size differs from the others', raises
-    ValueError before the file is opened."""
+    ValueError before the file is opened, as does a negative budget (-1
+    marks an unset one)."""
+    if memory.budget_elements is not None and memory.budget_elements < 0:
+        raise ValueError(f"budget_elements must be >= 0 or None, got {memory.budget_elements}")
     latent = None
     for (t, c), p in sorted(memory.prototype_history.items()):
         mean, logvar = p.mean.data.size, p.logvar.data.size

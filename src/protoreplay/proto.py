@@ -6,9 +6,11 @@ Classification samples latents from queries and prototypes by
 reparameterization and takes a softmax over (optionally variance-weighted)
 L2 distances; replay regresses re-encoded stored exemplars onto prototypes
 frozen at earlier tasks. Both run one batched loss,
-``mixed_classification_loss``; ``class_posterior`` is its distance kernel with
-arrays in and out. The loss forms its gradient in its forward, so a tracked
-loss keeps its input gradients, not its samples, until ``backward()``.
+``mixed_classification_loss``, which is itself the fused autodiff node, fed
+by each online prototype's own tensors; ``class_posterior`` is its distance
+kernel with arrays in and out. The loss forms its gradient in its forward,
+so a tracked loss keeps its input gradients ((Q, D) for the queries, a (D,)
+row per online prototype tensor), not its samples, until ``backward()``.
 
 Noise-draw order is part of the contract so results are reproducible from a
 seeded generator: each loss first draws prototype noise of shape (Z, C, D)
@@ -226,35 +228,57 @@ def class_posterior(query_samples: np.ndarray, proto_samples: np.ndarray,
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _distance_softmax_ce(query_mean: Tensor, query_logvar: Tensor,
-                         label_idx: np.ndarray,
-                         proto_mean: Tensor, proto_logvar: Tensor,
-                         weight_logvar: Optional[np.ndarray],
-                         cfg: SamplingConfig, noise_stream) -> Tensor:
-    """Shared core: mean over queries and z of -log p(true class | sample).
+def mixed_classification_loss(mean: Tensor, logvar: Tensor, labels: Sequence[int],
+                              online: Sequence[VariationalPrototype],
+                              frozen: Sequence[VariationalPrototype],
+                              cfg: SamplingConfig, noise_stream) -> Tensor:
+    """The distance-softmax cross-entropy of the classification and replay
+    terms: the mean over queries and z of -log p(true class | sample).
 
-    query_mean/logvar: (Q, D); proto_mean/logvar: (C, D) in ascending class
-    order; weight_logvar: optional constant (C, D) applied per class. One
-    autodiff node, forward and analytic gradient in plain BLAS. The gradient
-    is formed in the forward, at an upstream gradient of 1.0, while the
-    samples are in cache; the node keeps only the (Q, D) and (C, D) input
-    gradients, and its backward adds ``g`` times each into its parent, so no
-    (Q, Z, D) or (Z, C, D) sample outlives the call. An untracked call forms
-    no gradient, and prototypes that take none get none formed.
+    Row q of ``mean``/``logvar`` (Q, D) is a query of class ``labels[q]``. It
+    is scored in one posterior over the ``online`` prototypes, which pass
+    gradients, and the ``frozen`` ones, which are constant regression
+    targets. Frozen entries are weighted by their own log-variance when
+    cfg.weighted; online entries never are. Every label needs a prototype.
+    With only online prototypes this is the classification loss; with only
+    one past task's frozen prototypes, that task's replay loss.
+
+    One autodiff node, forward and analytic gradient in plain BLAS, whose
+    parents are the queries and each online prototype's ``mean`` and
+    ``logvar``; frozen prototypes enter as arrays. The gradient is formed in
+    the forward, at an upstream gradient of 1.0, while the samples are in
+    cache; the node keeps only the (Q, D) query gradients and a (D,) row per
+    online prototype tensor, and its backward adds ``g`` times each into its
+    parent, so no (Q, Z, D) or (Z, C, D) sample outlives the call, and
+    within it at most three (Q, Z, D) arrays live at once. An untracked call
+    forms no gradient, and prototypes that take none get none formed.
     """
-    Q, D = query_mean.shape
-    C = proto_mean.shape[0]
-    Z = cfg.Z
+    entries = sorted([(p, False) for p in online] + [(p, True) for p in frozen],
+                     key=lambda entry: entry[0].class_id)
+    class_ids = [p.class_id for p, _ in entries]
+    if len(set(class_ids)) != len(class_ids):
+        raise ValueError(f"duplicate class ids among prototypes: {class_ids}")
+    index = {c: i for i, c in enumerate(class_ids)}
+    for label in labels:
+        if label not in index:
+            raise ValueError(f"query label {label} has no prototype")
+    label_idx = np.array([index[label] for label in labels])
+    Q, D = mean.shape
+    C, Z = len(entries), cfg.Z
+    pm, plv, w = np.empty((C, D)), np.empty((C, D)), np.ones((C, D))   # in class order
+    for i, (p, fixed) in enumerate(entries):
+        pm[i], plv[i] = p.mean.data, p.logvar.data
+        if fixed and cfg.weighted:
+            w[i] = np.exp(-p.logvar.data)
     pn = noise_stream.standard_normal((Z, C, D))
     qn = noise_stream.standard_normal((Q, Z, D))
 
-    psd = np.exp(0.5 * proto_logvar.data)                                  # (C, D)
-    qsd = np.exp(0.5 * query_logvar.data)[:, None, :]                      # (Q, 1, D)
+    psd = np.exp(0.5 * plv)                                                # (C, D)
+    qsd = np.exp(0.5 * logvar.data)[:, None, :]                            # (Q, 1, D)
     ps = np.multiply(psd, pn)                                              # (Z, C, D)
-    ps += proto_mean.data
+    ps += pm
     qs = np.multiply(qsd, qn)                                              # (Q, Z, D)
-    qs += query_mean.data[:, None, :]
-    w = np.ones((C, D)) if weight_logvar is None else np.exp(-weight_logvar)
+    qs += mean.data[:, None, :]
     _centre(qs, ps)                         # in place: the gradient uses the centred samples
     wps = w * ps
     dist = np.sqrt(_sq_distances(qs, ps, w, wps))                          # (Q, Z, C)
@@ -266,8 +290,9 @@ def _distance_softmax_ce(query_mean: Tensor, query_logvar: Tensor,
     loss = (lse - logits[np.arange(Q), :, label_idx]).sum() * (1.0 / (Q * Z))
 
     tracked = ad.grad_enabled()
-    query_takes = tracked and (query_mean.requires_grad or query_logvar.requires_grad)
-    proto_takes = tracked and (proto_mean.requires_grad or proto_logvar.requires_grad)
+    query_takes = tracked and (mean.requires_grad or logvar.requires_grad)
+    proto_takes = tracked and any(p.mean.requires_grad or p.logvar.requires_grad
+                                  for p in online)
     grads = []                              # (parent, its gradient at g = 1.0)
     if query_takes or proto_takes:
         # h = dL/d(dist^2); an exactly zero distance passes no gradient, as
@@ -277,59 +302,32 @@ def _distance_softmax_ce(query_mean: Tensor, query_logvar: Tensor,
         h = dlogits * (1.0 / (Q * Z) * (-0.5 / cfg.tau))
         h /= np.maximum(dist, 1e-150)
         h[dist == 0.0] = 0.0
-    if query_takes:
-        g_qs = (h.reshape(Q * Z, C) @ w).reshape(Q, Z, D)
-        g_qs *= qs
-        g_qs -= np.matmul(h.transpose(1, 0, 2), wps).transpose(1, 0, 2)
-        g_qs *= 2.0
-        grads.append((query_mean, g_qs.sum(axis=1)))
-        g_qs *= qn                          # now the log-variance term's
-        grads.append((query_logvar, 0.5 * qsd[:, 0] * g_qs.sum(axis=1)))
     if proto_takes:
         g_ps = np.matmul(h.transpose(1, 2, 0), qs.transpose(1, 0, 2))   # (Z, C, D)
         g_ps -= ps * h.sum(axis=0)[..., None]
         g_ps *= -2.0 * w
-        grads.append((proto_mean, g_ps.sum(axis=0)))
-        grads.append((proto_logvar, 0.5 * psd * (g_ps * pn).sum(axis=0)))
+        g_pm = g_ps.sum(axis=0)
+        g_plv = 0.5 * psd * (g_ps * pn).sum(axis=0)
+        for i, (p, fixed) in enumerate(entries):
+            if not fixed:
+                grads += [(p.mean, g_pm[i]), (p.logvar, g_plv[i])]
+    if query_takes:
+        g_qs = (h.reshape(Q * Z, C) @ w).reshape(Q, Z, D)
+        g_qs *= qs
+        # qs is read for the last time above, so its buffer takes the (Z, Q, D) product
+        np.matmul(h.transpose(1, 0, 2), wps, out=qs.transpose(1, 0, 2))
+        g_qs -= qs
+        g_qs *= 2.0
+        grads.append((mean, g_qs.sum(axis=1)))
+        g_qs *= qn                          # now the log-variance term's
+        grads.append((logvar, 0.5 * qsd[:, 0] * g_qs.sum(axis=1)))
 
     def backward(g):
         # g is exactly 1.0 for an unscaled loss, and then changes no bit
         for parent, grad in grads:
             ad._accumulate(parent, g * grad)
-    return ad._node(loss, (query_mean, query_logvar, proto_mean, proto_logvar), backward)
-
-
-def mixed_classification_loss(mean: Tensor, logvar: Tensor, labels: Sequence[int],
-                              online: Sequence[VariationalPrototype],
-                              frozen: Sequence[VariationalPrototype],
-                              cfg: SamplingConfig, noise_stream) -> Tensor:
-    """The distance-softmax cross-entropy of the classification and replay terms.
-
-    Row q of ``mean``/``logvar`` (Q, D) is a query of class ``labels[q]``. It
-    is scored in one posterior over the ``online`` prototypes, which pass
-    gradients, and the ``frozen`` ones, which are constant regression
-    targets. Frozen entries are weighted by their own log-variance when
-    cfg.weighted; online entries never are. Every label needs a prototype.
-    With only online prototypes this is the classification loss; with only
-    one past task's frozen prototypes, that task's replay loss.
-    """
-    entries = sorted([(p, False) for p in online] + [(p, True) for p in frozen],
-                     key=lambda entry: entry[0].class_id)
-    class_ids = [p.class_id for p, _ in entries]
-    if len(set(class_ids)) != len(class_ids):
-        raise ValueError(f"duplicate class ids among prototypes: {class_ids}")
-    index = {c: i for i, c in enumerate(class_ids)}
-    for label in labels:
-        if label not in index:
-            raise ValueError(f"query label {label} has no prototype")
-    pm = ad.stack([Tensor(p.mean.data) if fixed else p.mean for p, fixed in entries])
-    plv = ad.stack([Tensor(p.logvar.data) if fixed else p.logvar for p, fixed in entries])
-    wlv = None
-    if cfg.weighted and frozen:
-        wlv = np.stack([p.logvar.data if fixed else np.zeros_like(p.logvar.data)
-                        for p, fixed in entries])
-    label_idx = np.array([index[label] for label in labels])
-    return _distance_softmax_ce(mean, logvar, label_idx, pm, plv, wlv, cfg, noise_stream)
+    parents = (mean, logvar) + tuple(t for p in online for t in (p.mean, p.logvar))
+    return ad._node(loss, parents, backward)
 
 
 def logvar_match_loss(logvar: Tensor, labels: Sequence[int],

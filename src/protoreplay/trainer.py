@@ -11,7 +11,7 @@ stored under task T; exemplars are then stored and rebalanced to budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -52,8 +52,11 @@ class TrainerConfig:
         check_field_types(self, counts, ("learning_rate", "support_fraction", "replay_weight"))
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if self.epochs_per_task < 1:
-            raise ValueError("epochs_per_task must be >= 1")
+        for name, least in (("epochs_per_task", 1), ("seed", 0), ("per_class_quota", 1),
+                            ("budget_elements", 1)):        # a null budget is unlimited
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.batch_per_class < 2:
             raise ValueError("batch_per_class must be >= 2: each class batch is "
                              "split into a support and a query part")
@@ -74,7 +77,6 @@ class TrainingState:
     rng: np.random.Generator
     noise: NoiseStream
     current_task: int = 0
-    classes_seen: Dict[int, int] = field(default_factory=dict)  # class -> intro task
 
 
 def make_state(encoder: EncoderParams, cfg: TrainerConfig) -> TrainingState:
@@ -173,12 +175,15 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
         raise ValueError(f"task {task_id}: " + (
             f"classes {too_small} have fewer than two training images, so no "
             "support/query split can train them" if too_small else "no training images"))
+    # every class trained so far has a stored prototype, also in a memory
+    # loaded from a snapshot
+    classes_seen = {c for _, c in state.memory.prototype_history}
     if protocol == "incremental_class":
-        repeated = [c for c in new_classes if c in state.classes_seen]
+        repeated = [c for c in new_classes if c in classes_seen]
         if repeated:
             raise ValueError(
                 f"incremental-class protocol: classes {repeated} repeat at task {task_id}")
-    classes_after = len(set(state.classes_seen) | set(new_classes))
+    classes_after = len(classes_seen | set(new_classes))
     quota = cfg.per_class_quota
     if state.memory.budget_elements is not None:
         quota = mem.budget_quota(state.memory, classes_after, task_images[0].elements)
@@ -294,9 +299,6 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
 
     mem.store_exemplars(state.memory, by_class, quota, state.rng)
     mem.rebalance(state.memory, classes_after, state.rng)
-
-    for c in new_classes:
-        state.classes_seen.setdefault(c, task_id)
     return state
 
 

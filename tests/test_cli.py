@@ -392,6 +392,23 @@ def test_dataset_or_schedule_value_of_the_wrong_type_exits_two(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    (None, "seed", -1, "seed must be >= 0, got -1"),
+    (None, "per_class_quota", 0, "per_class_quota must be >= 1, got 0"),
+    (None, "budget_elements", -1, "budget_elements must be >= 1, got -1"),
+    ("dataset", "seed", -1, "dataset.seed must be >= 0, got -1"),
+])
+def test_a_count_out_of_range_exits_two_before_the_output_directory(
+        tmp_path, capsys, section, key, value, message):
+    cfg = json.loads(run_config(tmp_path).read_text())
+    (cfg if section is None else cfg[section])[key] = value
+    path = run_config(tmp_path, **cfg)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_idx_dataset_without_a_required_key_exits_two(tmp_path, capsys):
     cfg = run_config(tmp_path, dataset={"kind": "idx", "train_images": "images.idx"})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

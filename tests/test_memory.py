@@ -213,6 +213,14 @@ def saved_memory(tmp_path):
     return mem, path
 
 
+def test_save_rejects_a_negative_budget_before_opening_the_file(tmp_path):
+    # the layout writes -1 for an unset budget, so -5 would load back as None
+    path = tmp_path / "memory.bin"
+    with pytest.raises(ValueError, match="budget_elements must be >= 0 or None, got -5"):
+        save_memory(EpisodicMemory(budget_elements=-5), path)
+    assert not path.exists()
+
+
 def test_save_load_roundtrip_bitwise(tmp_path):
     mem, path = saved_memory(tmp_path)
     loaded = load_memory(path)

@@ -509,6 +509,22 @@ def test_the_loss_node_keeps_no_samples():
     assert held / 1e6 < 1.0
 
 
+def test_a_replay_term_holds_fewer_than_four_sample_arrays_at_once():
+    # qn, qs and the query gradient, plus the (Z, C, D) prototype arrays; the
+    # (Z, Q, D) product of the query gradient goes into qs's buffer
+    Q, Z, C, D = 24, 50, 4, 500
+    cfg = SamplingConfig(Z=Z, tau=1.0, D=D)
+    mean, logvar, labels, online, frozen = mixed_instance(np.random.default_rng(5), Q, C, D)
+    tracemalloc.start()
+    try:
+        mixed_classification_loss(mean, logvar, labels, [], online + frozen, cfg,
+                                  np.random.default_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * Q * Z * D * 8, f"peak {peak / (Q * Z * D * 8):.2f} (Q, Z, D) arrays"
+
+
 def test_a_scaled_loss_scales_the_finished_gradients():
     cfg = SamplingConfig(Z=3, tau=0.7, D=3)
     rng = np.random.default_rng(13)
@@ -579,6 +595,44 @@ def test_an_untracked_loss_has_the_tracked_value():
         untracked = mixed_classification_loss(mean, logvar, labels, online, frozen, cfg,
                                               np.random.default_rng(8))
     assert untracked.data.tobytes() == tracked.data.tobytes()
+
+
+def test_the_loss_node_is_fed_by_the_online_prototypes_own_tensors(monkeypatch):
+    cfg = SamplingConfig(Z=3, tau=1.0, D=4)
+    mean, logvar, labels, online, frozen = mixed_instance(np.random.default_rng(4), 5, 5, 4)
+
+    def no_stack(*args, **kwargs):
+        raise AssertionError("the loss copied its prototypes into a stack node")
+    monkeypatch.setattr(ad, "stack", no_stack)
+    loss = mixed_classification_loss(mean, logvar, labels, online, frozen, cfg,
+                                     np.random.default_rng(0))
+    want = [mean, logvar] + [t for p in online for t in (p.mean, p.logvar)]
+    assert [id(t) for t in loss._parents] == [id(t) for t in want]
+    loss.backward()
+    assert all(t.grad is not None and t.grad.shape == t.shape for t in want)
+
+
+def test_a_frozen_prototype_that_takes_gradients_gets_none():
+    # frozen prototypes averaged from a tracked batch, as online ones are:
+    # neither they nor the batch get a gradient, and the other gradients
+    # are those of the same prototypes given as constants
+    cfg = SamplingConfig(Z=3, tau=1.0, D=4)
+    rng = np.random.default_rng(9)
+    mean, logvar, labels, online, _ = mixed_instance(rng, 4, 4, 4)
+    batch = [Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True) for _ in range(2)]
+    frozen = [batch_prototype(1, c, *batch, [i]) for i, c in enumerate((1, 3))]
+    constants = [proto(p.class_id, p.mean.data, p.logvar.data) for p in frozen]
+    points = [mean, logvar] + [t for p in online for t in (p.mean, p.logvar)]
+    grads = []
+    for given in (constants, frozen):
+        for t in points:
+            t.grad = None
+        mixed_classification_loss(mean, logvar, labels, online, given, cfg,
+                                  np.random.default_rng(3)).backward()
+        grads.append([t.grad.tobytes() for t in points])
+    assert grads[0] == grads[1]
+    assert all(t.grad is None for p in frozen for t in (p.mean, p.logvar))
+    assert all(t.grad is None for t in batch)
 
 
 def composed_loss(mean, logvar, labels, protos, cfg, noise, weight_logvar=None):

@@ -13,12 +13,12 @@ from protoreplay.data import (Image, incremental_class_plan, permuted_protocol,
                               split_protocol, synthetic_blobs,
                               task_test_images, task_train_images)
 from protoreplay.encoder import encode_batch, init_encoder, reference_architecture
+from protoreplay.memory import load_memory, save_memory
 from protoreplay.proto import (NoiseStream, SamplingConfig, VariationalPrototype,
                                mixed_classification_loss)
-from protoreplay.trainer import (TrainerConfig, _replay_task_order, evaluate,
-                                 make_state, run_continual, sgd_step,
-                                 split_support_query, train_baseline,
-                                 train_task)
+from protoreplay.trainer import (TrainerConfig, TrainingState, _replay_task_order,
+                                 evaluate, make_state, run_continual, sgd_step,
+                                 split_support_query, train_baseline, train_task)
 
 
 def small_cfg(**kwargs):
@@ -117,7 +117,6 @@ def test_evaluate_tie_breaks_to_lowest_class_id():
     for c in (0, 1):
         state.memory.prototype_history[(1, c)] = VariationalPrototype(
             1, c, Tensor(np.zeros(4)), Tensor(np.zeros(4)))
-        state.classes_seen[c] = 1
     tests = [Image(np.ones((1, 1, 8)), 0), Image(np.ones((1, 1, 8)), 1)]
     acc, per_class = evaluate(state, tests, cfg)
     assert per_class == {0: 1.0, 1: 0.0}   # both predicted as class 0
@@ -286,7 +285,6 @@ def test_budget_too_small_fails_before_the_task_changes_anything():
         return ({c: [id(img) for img in imgs] for c, imgs in state.memory.exemplars.items()},
                 {k: (p.mean.data.tobytes(), p.logvar.data.tobytes())
                  for k, p in state.memory.prototype_history.items()},
-                dict(state.classes_seen),
                 [t.data.tobytes() for t in state.encoder.parameters()])
 
     before = snapshot()
@@ -294,6 +292,28 @@ def test_budget_too_small_fails_before_the_task_changes_anything():
         train_task(state, 2, [img for img in ds.train if img.label >= 2], cfg)
     assert snapshot() == before
     assert state.memory.exemplar_elements() == 8
+
+
+def test_a_state_given_a_loaded_memory_knows_the_classes_it_has_seen(tmp_path):
+    # 4-element images under a 24-element budget: task 1's two classes keep
+    # three exemplars each; after task 2 the four classes keep one each,
+    # whether or not the memory went through a snapshot in between
+    ds = synthetic_blobs(4, 4, 6, 2, separation=3.0, seed=0)
+    cfg = small_cfg(budget_elements=24)
+    first, second = ([img for img in ds.train if lo <= img.label < lo + 2] for lo in (0, 2))
+    held = []
+    for resumed in (False, True):
+        state = make_state(init_encoder(small_arch(input_dim=4), latent_dim=4, seed=0), cfg)
+        train_task(state, 1, first, cfg)
+        if resumed:         # a new state: the same encoder and generators, the memory read back
+            save_memory(state.memory, tmp_path / "memory.bin")
+            state = TrainingState(state.encoder, load_memory(tmp_path / "memory.bin"),
+                                  state.rng, state.noise)
+        train_task(state, 2, second, cfg)
+        held.append(state.memory.exemplar_elements())
+    assert held == [16, 16]
+    with pytest.raises(ValueError, match=r"classes \[0\] repeat at task 3"):
+        train_task(state, 3, [img for img in first if img.label == 0], cfg)
 
 
 def test_trailing_single_image_chunk_is_skipped(monkeypatch):
