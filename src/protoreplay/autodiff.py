@@ -434,17 +434,18 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0, block_bias: Tensor = None) ->
     of the backward (the weight gradient's when the input takes none), run
     on two threads when two CPUs are usable.
     """
+    block = block_bias is not None
+    op = "conv_block" if block else "conv2d"        # errors name the op that runs
     if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ShapeError(f"conv2d: need 4-D input and kernel, got {x.shape} and {w.shape}")
+        raise ShapeError(f"{op}: need 4-D input and kernel, got {x.shape} and {w.shape}")
     B, ci, H, W = x.data.shape
     co, ci2, kh, kw = w.data.shape
     if ci != ci2 or kh != kw:
-        raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape}")
+        raise ShapeError(f"{op}: incompatible shapes {x.shape} and {w.shape}")
     k, p = kh, int(padding)
     ho, wo = H + 2 * p - k + 1, W + 2 * p - k + 1
     if ho <= 0 or wo <= 0:
-        raise ShapeError(f"conv2d: kernel {k} too large for input {x.shape} with padding {p}")
-    block = block_bias is not None
+        raise ShapeError(f"{op}: kernel {k} too large for input {x.shape} with padding {p}")
     if block and block_bias.shape != (co,):
         raise ShapeError(f"conv_block: bias shape {block_bias.shape}, want ({co},)")
     if block and (ho % 2 or wo % 2):

@@ -35,7 +35,7 @@ from .encoder import (LayerSpec, baseline_head, encode_batch, init_encoder,
 from .memory import EpisodicMemory, memory_footprint, save_memory
 from .proto import (SamplingConfig, VariationalPrototype, batch_prototype, check_type,
                     mixed_classification_loss)
-from .trainer import TrainerConfig, run_continual, _encode_images
+from .trainer import TrainerConfig, check_schedule, run_continual, _encode_images
 
 
 class UsageError(Exception):
@@ -84,7 +84,7 @@ def _build_schedule(protocol: str, schedule_cfg: "_Section", dataset: Dataset, s
     if protocol == "incremental_domain":
         return permuted_protocol(dataset, count("num_tasks", 5), seed)
     if protocol == "incremental_class":
-        # a quota of 0 leaves a task without images, which train_task names
+        # a quota of 0 leaves a task without images, which check_schedule names
         quota = count("quota", 10, least=0)
         if "kind" in schedule_cfg:
             return split_protocol(dataset, schedule_cfg["kind"], quota, seed)
@@ -213,6 +213,7 @@ def cmd_run(args) -> int:
     except ad.ShapeError as exc:
         raise UsageError(f"architecture {arch!r} does not fit the dataset's {image.shape} "
                          f"images: {exc}") from None
+    check_schedule(dataset, schedule, tcfg)
     os.makedirs(args.out, exist_ok=True)
 
     start = time.time()

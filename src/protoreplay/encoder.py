@@ -1,11 +1,12 @@
 """Feed-forward encoders mapping images to latent Gaussians.
 
 The reference 32x32 RGB architecture mirrors the memory-accounting table:
-conv(3,20,5,pad 2) -> relu -> pool -> conv(20,50,5,pad 2) -> relu -> pool ->
-flatten -> fc(3200,500) -> relu -> fc(500,1000), where the final 1000-wide
-output splits into a 500-dim mean and a 500-dim log-variance. Baseline
-classifiers share the trunk but end in fc(500, num_classes) -> softmax.
-Each conv -> relu -> pool triple runs as one fused ``autodiff.conv_block``.
+conv(3,20,5,pad 2) -> conv(20,50,5,pad 2) -> flatten -> fc(3200,500) -> relu
+-> fc(500,1000), where each ``conv`` layer is a whole conv -> bias -> ReLU ->
+2x2 max-pool unit, run as one fused ``autodiff.conv_block``, and the final
+1000-wide output splits into a 500-dim mean and a 500-dim log-variance.
+Baseline classifiers share the trunk but end in fc(500, num_classes) ->
+softmax.
 
 Parameter-count parity with the accounting table deliberately excludes
 biases (the table's sums contain none), although biases are trained.
@@ -23,12 +24,12 @@ from .autodiff import Tensor
 
 
 LOGVAR_BOUND = 10.0  # log-variance clamp before exponentiation
-_BLOCK = ("conv", "relu", "maxpool2x2")   # layers that run as one autodiff.conv_block
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    kind: str                 # conv | fullyconnected | relu | maxpool2x2 | flatten
+    kind: str                 # conv | fullyconnected | relu | flatten; a conv is the
+                              # whole conv -> bias -> relu -> 2x2 max pool unit
     dims: tuple = ()          # conv: (cin, cout, k); fullyconnected: (nin, nout)
     padding: int = 0
 
@@ -53,11 +54,7 @@ class EncoderParams:
     latent_dim: int
 
     def parameters(self) -> List[Tensor]:
-        out = []
-        for wb in self.weights:
-            if wb is not None:
-                out.extend(wb)
-        return out
+        return [t for wb in self.weights if wb is not None for t in wb]
 
 
 def _glorot(rng, shape, fan_in, fan_out) -> np.ndarray:
@@ -72,51 +69,36 @@ def init_encoder(layers: List[LayerSpec], latent_dim: int, seed: int = 0,
     for layer in layers:
         if layer.kind == "conv":
             cin, cout, k = layer.dims
-            w = np.zeros((cout, cin, k, k)) if zero else \
-                _glorot(rng, (cout, cin, k, k), cin * k * k, cout * k * k)
-            weights.append((Tensor(w, requires_grad=True),
-                            Tensor(np.zeros(cout), requires_grad=True)))
+            shape, fans = (cout, cin, k, k), (cin * k * k, cout * k * k)
         elif layer.kind == "fullyconnected":
-            nin, nout = layer.dims
-            w = np.zeros((nin, nout)) if zero else _glorot(rng, (nin, nout), nin, nout)
-            weights.append((Tensor(w, requires_grad=True),
-                            Tensor(np.zeros(nout), requires_grad=True)))
+            shape, fans = layer.dims, layer.dims        # (nin, nout)
         else:
             weights.append(None)
+            continue
+        w = np.zeros(shape) if zero else _glorot(rng, shape, *fans)
+        weights.append((Tensor(w, requires_grad=True),
+                        Tensor(np.zeros(layer.dims[1]), requires_grad=True)))   # cout or nout
     return EncoderParams(layers, weights, latent_dim)
 
 
 def forward(params: EncoderParams, x: Tensor) -> Tensor:
     """Run the layer stack on a batch: (B,C,H,W) in, (B, out) out.
 
-    A ``conv`` followed by ``relu`` and ``maxpool2x2`` runs as one
-    ``autodiff.conv_block``, whose image loop runs on two threads when two
-    CPUs are usable; its output is byte-equal to the three separate layers'.
+    Each ``conv`` layer is one ``autodiff.conv_block`` (conv, bias, ReLU and
+    2x2 max pool), whose image loop runs on two threads when two CPUs are
+    usable; every other layer is its own op.
     """
-    layers, weights = params.layers, params.weights
-    i = 0
-    while i < len(layers):
-        layer, wb = layers[i], weights[i]
-        if tuple(l.kind for l in layers[i:i + 3]) == _BLOCK:
-            x = ad.conv_block(x, wb[0], wb[1], padding=layer.padding)
-            i += 3
-            continue
+    for layer, wb in zip(params.layers, params.weights):
         if layer.kind == "conv":
-            w, b = wb
-            x = ad.add(ad.conv2d(x, w, padding=layer.padding),
-                       ad.reshape(b, (1, -1, 1, 1)))
+            x = ad.conv_block(x, wb[0], wb[1], padding=layer.padding)
         elif layer.kind == "fullyconnected":
-            w, b = wb
-            x = ad.add(ad.matmul(x, w), b)        # the (n,) bias broadcasts over rows
+            x = ad.add(ad.matmul(x, wb[0]), wb[1])    # the (n,) bias broadcasts over rows
         elif layer.kind == "relu":
             x = ad.relu(x)
-        elif layer.kind == "maxpool2x2":
-            x = ad.maxpool2x2(x)
         elif layer.kind == "flatten":
             x = ad.reshape(x, (x.shape[0], -1))
         else:
             raise ValueError(f"unknown layer kind {layer.kind!r}")
-        i += 1
     return x
 
 
@@ -136,7 +118,8 @@ def reference_architecture(dataset: str, latent_dim: Optional[int] = None,
                            input_dim: Optional[int] = None) -> List[LayerSpec]:
     """Named layer stacks ending in fc(., 2*D).
 
-    cifar_like_32: the reference conv net (D defaults to 500).
+    cifar_like_32: the reference conv net, two conv blocks -> flatten ->
+        fc(3200,500) -> relu -> fc(500, 2*D), D default 500.
     mnist_like_28: flatten -> fc(784,100) -> relu -> fc(100, 2*D), D default 50.
     synthetic_vector: flatten -> fc(input_dim,64) -> relu -> fc(64, 2*D).
     """
@@ -144,11 +127,7 @@ def reference_architecture(dataset: str, latent_dim: Optional[int] = None,
         D = 500 if latent_dim is None else latent_dim
         return [
             LayerSpec("conv", (3, 20, 5), padding=2),
-            LayerSpec("relu"),
-            LayerSpec("maxpool2x2"),
             LayerSpec("conv", (20, 50, 5), padding=2),
-            LayerSpec("relu"),
-            LayerSpec("maxpool2x2"),
             LayerSpec("flatten"),
             LayerSpec("fullyconnected", (3200, 500)),
             LayerSpec("relu"),

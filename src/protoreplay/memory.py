@@ -97,13 +97,13 @@ def store_prototypes(memory: EpisodicMemory, task_id: int,
     return memory
 
 
-def budget_quota(memory: EpisodicMemory, classes_seen: int, elements_per_image: int) -> int:
+def budget_quota(budget_elements: int, classes_seen: int, elements_per_image: int) -> int:
     """Exemplars per class when the element budget is split evenly over
     ``classes_seen`` classes; a budget that cannot hold one each raises."""
-    quota = memory.budget_elements // (classes_seen * elements_per_image)
+    quota = budget_elements // (classes_seen * elements_per_image)
     if quota < 1:
         raise ValueError(
-            f"budget of {memory.budget_elements} elements cannot hold one "
+            f"budget of {budget_elements} elements cannot hold one "
             f"{elements_per_image}-element exemplar for each of {classes_seen} classes")
     return quota
 
@@ -113,7 +113,7 @@ def rebalance(memory: EpisodicMemory, classes_seen: int, rng) -> EpisodicMemory:
     exemplars uniformly at random; every class always keeps at least one."""
     if memory.budget_elements is None or not memory.exemplars:
         return memory
-    quota = budget_quota(memory, classes_seen,
+    quota = budget_quota(memory.budget_elements, classes_seen,
                          next(iter(memory.exemplars.values()))[0].elements)
     for c in sorted(memory.exemplars):
         imgs = memory.exemplars[c]

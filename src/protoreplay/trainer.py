@@ -11,6 +11,7 @@ stored under task T; exemplars are then stored and rebalanced to budget.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -161,20 +162,38 @@ def _backing(memory: mem.EpisodicMemory, task_id: int, class_id: int,
             if protocol != "incremental_domain" or img.task == task_id]
 
 
+def _trainable_classes(task_id: int, labels) -> List[int]:
+    """A task's sorted classes. It raises for a task without images, or with
+    a class of fewer than two, which no support/query split can train."""
+    counts = Counter(labels)
+    too_small = sorted(c for c, n in counts.items() if n < 2)
+    if too_small or not counts:
+        raise ValueError(f"task {task_id}: " + (
+            f"classes {too_small} have fewer than two training images, so no "
+            "support/query split can train them" if too_small else "no training images"))
+    return sorted(counts)
+
+
+def check_schedule(dataset: Dataset, schedule: ProtocolSchedule, cfg: TrainerConfig):
+    """Raise, before anything trains, what ``run_continual`` would raise for a
+    task too small to train or a budget too small for the classes it has seen."""
+    seen = set()
+    for spec in schedule.tasks:
+        seen.update(_trainable_classes(spec.task_id, [
+            dataset.train[i].label for c in spec.class_ids for i in spec.train_indices[c]]))
+        if cfg.budget_elements is not None:
+            mem.budget_quota(cfg.budget_elements, len(seen), dataset.train[0].elements)
+
+
 def train_task(state: TrainingState, task_id: int, task_images: List[Image],
                cfg: TrainerConfig, protocol: str = "incremental_class") -> TrainingState:
     if cfg.sampling.D != state.encoder.latent_dim:
         raise ValueError(f"sampling D = {cfg.sampling.D} differs from the encoder's "
                          f"latent width {state.encoder.latent_dim}")
-    by_class: Dict[int, List[Image]] = {}
+    new_classes = _trainable_classes(task_id, [img.label for img in task_images])
+    by_class: Dict[int, List[Image]] = {c: [] for c in new_classes}
     for img in task_images:
-        by_class.setdefault(img.label, []).append(img)
-    new_classes = sorted(by_class)
-    too_small = [c for c in new_classes if len(by_class[c]) < 2]
-    if too_small or not new_classes:
-        raise ValueError(f"task {task_id}: " + (
-            f"classes {too_small} have fewer than two training images, so no "
-            "support/query split can train them" if too_small else "no training images"))
+        by_class[img.label].append(img)
     # every class trained so far has a stored prototype, also in a memory
     # loaded from a snapshot
     classes_seen = {c for _, c in state.memory.prototype_history}
@@ -186,7 +205,8 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
     classes_after = len(classes_seen | set(new_classes))
     quota = cfg.per_class_quota
     if state.memory.budget_elements is not None:
-        quota = mem.budget_quota(state.memory, classes_after, task_images[0].elements)
+        quota = mem.budget_quota(state.memory.budget_elements, classes_after,
+                                 task_images[0].elements)
     state.current_task = task_id
     previous_tasks = sorted({t for (t, _) in state.memory.prototype_history})
 
@@ -387,17 +407,15 @@ def _baseline_eval(params: EncoderParams, test_images: List[Image]) -> float:
     return float((preds == labels).mean())
 
 
-def train_baseline(kind: str, dataset: Dataset, schedule: ProtocolSchedule,
-                   encoder_layers, cfg: TrainerConfig,
-                   l2_weight: float = 0.0) -> AccuracyMatrix:
-    """SGD fine-tuning baselines over the same task stream.
-
-    kind "sgd_naive": plain softmax cross-entropy per task. kind "l2": adds
-    l2_weight * ||theta - theta_prev_task||^2 over parameters shared with the
-    previous task (the head's newly added class columns are unconstrained).
+def train_baseline(dataset: Dataset, schedule: ProtocolSchedule, encoder_layers,
+                   cfg: TrainerConfig, l2_weight: float = 0.0) -> AccuracyMatrix:
+    """SGD fine-tuning baselines over the same task stream: softmax
+    cross-entropy per task, plus l2_weight * ||theta - theta_prev_task||^2
+    over parameters shared with the previous task (the head's newly added
+    class columns are unconstrained). The default weight 0 is naive SGD.
     """
-    if kind not in ("sgd_naive", "l2"):
-        raise ValueError(f"unknown baseline {kind!r}")
+    if l2_weight < 0:
+        raise ValueError(f"l2_weight must be >= 0, got {l2_weight}")
     rng = np.random.default_rng([cfg.seed, 3])
     num_classes = len(schedule.tasks[0].class_ids)
     layers = baseline_head(encoder_layers, num_classes)
@@ -419,7 +437,7 @@ def train_baseline(kind: str, dataset: Dataset, schedule: ProtocolSchedule,
             for b, start in enumerate(starts):
                 rows = order[start:start + batch]
                 loss = _softmax_ce_logits(forward(params, Tensor(pixels[rows])), labels[rows])
-                if kind == "l2" and anchor is not None and l2_weight > 0:
+                if anchor is not None and l2_weight > 0:
                     penalty = None
                     for p, prev in zip(params.parameters(), anchor):
                         # only the head grows, and only on its class axis

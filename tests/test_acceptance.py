@@ -156,7 +156,7 @@ def class_cfg(seed=0, replay_weight=1.0, **overrides):
 def test_criterion_4_incremental_class_run(report):
     ds, schedule, arch = class_setup()
     ours, _ = run_continual(ds, schedule, arch, 16, class_cfg(seed=0))
-    naive = train_baseline("sgd_naive", ds, schedule, arch, class_cfg(seed=0))
+    naive = train_baseline(ds, schedule, arch, class_cfg(seed=0))
     ours_avg = summarize(ours)["final_average"]
     naive_avg = summarize(naive)["final_average"]
     t1_final = ours.rows[-1][0]
@@ -192,7 +192,7 @@ def test_criterion_5_incremental_domain_run(report):
                         learning_rate=0.05, epochs_per_task=10,
                         batch_per_class=10, per_class_quota=10, seed=0)
     ours, _ = run_continual(ds, schedule, arch, 16, cfg)
-    naive = train_baseline("sgd_naive", ds, schedule, arch, cfg)
+    naive = train_baseline(ds, schedule, arch, cfg)
     ours_avg = summarize(ours)["final_average"]
     naive_avg = summarize(naive)["final_average"]
     drop = ours.rows[0][0] - ours.rows[-1][0]

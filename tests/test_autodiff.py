@@ -485,6 +485,19 @@ def test_shape_errors_name_the_problem(make, fragment):
         make()
 
 
+@pytest.mark.parametrize("x, w, fragment", [
+    ((2, 4, 4), (1, 2, 3, 3), "need 4-D input and kernel"),
+    ((1, 2, 4, 4), (1, 3, 3, 3), "incompatible shapes"),
+    ((1, 2, 4, 4), (1, 2, 5, 5), "kernel 5 too large"),
+])
+def test_conv_shape_errors_name_the_op_that_runs(x, w, fragment):
+    x, w = Tensor(np.zeros(x)), Tensor(np.zeros(w))
+    with pytest.raises(ShapeError, match=f"^conv2d: {fragment}"):
+        ad.conv2d(x, w)
+    with pytest.raises(ShapeError, match=f"^conv_block: {fragment}"):
+        ad.conv_block(x, w, Tensor(np.zeros(1)))
+
+
 # ---------------------------------------------------------------------------
 # no_grad
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import protoreplay.autodiff as ad
+from protoreplay import trainer
 from protoreplay.cli import _Section, _build_dataset, _trainer_config, main
 
 
@@ -267,6 +268,19 @@ def test_architecture_that_does_not_fit_the_dataset_exits_two(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_a_conv_error_names_the_conv_block_that_runs(tmp_path, capsys):
+    # 3072 = 3 * 32 * 32 elements, but synthetic vectors have one channel
+    cfg = run_config(tmp_path, architecture="cifar_like_32",
+                     dataset={"kind": "synthetic", "num_classes": 3, "dim": 3072,
+                              "per_class_train": 8, "per_class_test": 6,
+                              "separation": 3.0, "seed": 1})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "images: conv_block: incompatible shapes (1, 1, 1, 3072) and (20, 3, 5, 5)" in err
+    assert not out.exists()
+
+
 def test_readme_example_config_runs(tmp_path, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cfg = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
@@ -341,8 +355,24 @@ def test_task_classes_too_small_to_train_exit_two(tmp_path, capsys, quota, fragm
     cfg["schedule"]["quota"] = quota
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_budget_too_small_for_a_later_task_exits_two_before_training(
+        tmp_path, capsys, monkeypatch):
+    # 20 elements hold one 8-element exemplar of each of task 1's two
+    # classes, but not of the three seen after task 2
+    trained = []
+    monkeypatch.setattr(trainer, "train_task", lambda *args, **kw: trained.append(args))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(run_config(tmp_path, budget_elements=20)),
+                 "--out", str(out)]) == 2
+    assert ("error: budget of 20 elements cannot hold one 8-element exemplar for each "
+            "of 3 classes") in capsys.readouterr().err
+    assert not out.exists() and trained == []
 
 
 @pytest.mark.parametrize("key, value, field", [

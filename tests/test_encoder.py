@@ -150,6 +150,9 @@ def test_encode_batch_gradcheck():
 @pytest.mark.parametrize("make, fragment", [
     (lambda: encode_batch(init_encoder([LayerSpec("dropout")], latent_dim=1),
                           np.zeros((1, 1, 1, 2))), "unknown layer kind 'dropout'"),
+    # pooling is part of a conv layer, not a layer of its own
+    (lambda: forward(init_encoder([LayerSpec("maxpool2x2")], latent_dim=1),
+                     Tensor(np.zeros((1, 1, 2, 2)))), "unknown layer kind 'maxpool2x2'"),
     (lambda: reference_architecture("synthetic_vector", latent_dim=4),
      "synthetic_vector needs latent_dim and input_dim"),
     (lambda: reference_architecture("resnet18"), "unknown architecture 'resnet18'"),
@@ -185,17 +188,17 @@ def _cpus(monkeypatch, n):
 
 
 def _serial_forward(params, x):
-    """The layer loop with separate conv, bias add, ReLU and pool ops."""
+    """The layer loop with each conv layer as separate conv, bias add, ReLU
+    and pool ops."""
     for layer, wb in zip(params.layers, params.weights):
         if layer.kind == "conv":
             x = ad.add(ad.conv2d(x, wb[0], padding=layer.padding),
                        ad.reshape(wb[1], (1, -1, 1, 1)))
+            x = ad.maxpool2x2(ad.relu(x))
         elif layer.kind == "fullyconnected":
             x = ad.add(ad.matmul(x, wb[0]), ad.reshape(wb[1], (1, -1)))
         elif layer.kind == "relu":
             x = ad.relu(x)
-        elif layer.kind == "maxpool2x2":
-            x = ad.maxpool2x2(x)
         else:
             x = ad.reshape(x, (x.shape[0], -1))
     return x
@@ -324,10 +327,32 @@ def test_a_chunk_error_reaches_the_caller_and_joins_the_worker(monkeypatch, wher
 
 
 def test_a_block_whose_conv_output_is_odd_raises_shape_error():
-    layers = [LayerSpec("conv", (3, 4, 4), padding=1), LayerSpec("relu"),
-              LayerSpec("maxpool2x2"), LayerSpec("flatten"),
+    layers = [LayerSpec("conv", (3, 4, 4), padding=1), LayerSpec("flatten"),
               LayerSpec("fullyconnected", (4 * 4 * 4, 4))]
     params = init_encoder(layers, 2, seed=0)
     # a 7x7 conv output cannot pool, as maxpool2x2 on it could not
-    with pytest.raises(ad.ShapeError, match="even height and width"):
+    with pytest.raises(ad.ShapeError, match="conv_block: .* even height and width"):
         forward(params, Tensor(np.ones((2, 3, 8, 8))))
+
+
+def test_each_cifar_conv_spec_is_a_whole_conv_block():
+    layers = reference_architecture("cifar_like_32")
+    assert [l.kind for l in layers] == ["conv", "conv", "flatten", "fullyconnected",
+                                        "relu", "fullyconnected"]
+
+
+def test_a_tracked_cifar_forward_builds_one_conv_block_node_per_conv_spec():
+    params = _cifar()
+    out = forward(params, Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 32, 32))))
+    nodes, stack = [], [out]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and all(node is not n for n in nodes):
+            nodes.append(node)
+            stack.extend(node._parents)
+    blocks = [n for n in nodes if len(n._parents) == 3]
+    # the two blocks, the flatten, then matmul and add, relu, matmul and add
+    assert len(nodes) == 8 and len(blocks) == 2
+    for (w, b), shape in zip(params.weights[:2], [(2, 20, 16, 16), (2, 50, 8, 8)]):
+        block, = [n for n in blocks if n._parents[1:] == (w, b)]
+        assert block.shape == shape

@@ -639,28 +639,19 @@ def test_accuracy_matrices_pinned():
 # ---------------------------------------------------------------------------
 # baselines
 
-def test_baseline_rejects_unknown_kind():
+def test_baseline_rejects_a_negative_l2_weight():
     ds = synthetic_blobs(3, 8, 6, 4, 2.0, seed=0)
     schedule = split_protocol(ds, incremental_class_plan(3, 2, 1, 6), seed=0)
-    with pytest.raises(ValueError):
-        train_baseline("ewc", ds, schedule, small_arch(), small_cfg())
-
-
-def test_l2_zero_weight_matches_sgd_naive():
-    ds = synthetic_blobs(3, 8, 6, 4, separation=3.0, seed=0)
-    schedule = split_protocol(ds, incremental_class_plan(3, 2, 1, 6), seed=0)
-    cfg = small_cfg(epochs_per_task=3, learning_rate=0.05)
-    naive = train_baseline("sgd_naive", ds, schedule, small_arch(), cfg)
-    l2 = train_baseline("l2", ds, schedule, small_arch(), cfg, l2_weight=0.0)
-    assert naive.rows == l2.rows
+    with pytest.raises(ValueError, match="l2_weight must be >= 0, got -1.0"):
+        train_baseline(ds, schedule, small_arch(), small_cfg(), l2_weight=-1.0)
 
 
 def test_l2_penalty_slows_forgetting_versus_naive():
     ds = synthetic_blobs(3, 8, 10, 10, separation=3.0, seed=0)
     schedule = split_protocol(ds, incremental_class_plan(3, 2, 1, 10), seed=0)
     cfg = small_cfg(epochs_per_task=5, learning_rate=0.05)
-    naive = train_baseline("sgd_naive", ds, schedule, small_arch(), cfg)
-    l2 = train_baseline("l2", ds, schedule, small_arch(), cfg, l2_weight=100.0)
+    naive = train_baseline(ds, schedule, small_arch(), cfg)
+    l2 = train_baseline(ds, schedule, small_arch(), cfg, l2_weight=100.0)
     # a strong penalty trades new-task plasticity for old-task retention
     assert l2.rows[-1][0] > naive.rows[-1][0]
     assert l2.rows[-1][-1] < naive.rows[-1][-1]
@@ -672,7 +663,7 @@ def test_baseline_stops_on_non_finite_loss():
     schedule = split_protocol(ds, incremental_class_plan(3, 2, 1, 6), seed=0)
     with pytest.raises(FloatingPointError,
                        match=r"non-finite loss nan at task 1, epoch 1/5, batch 1/1"):
-        train_baseline("sgd_naive", ds, schedule, small_arch(), small_cfg())
+        train_baseline(ds, schedule, small_arch(), small_cfg())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -683,7 +674,7 @@ def test_baseline_stops_on_non_finite_gradient(monkeypatch):
     schedule = split_protocol(ds, incremental_class_plan(3, 2, 1, 6), seed=0)
     with pytest.raises(FloatingPointError, match=r"non-finite gradient in parameter 0 "
                        r"\(shape \(8, 64\)\) at task 1, epoch 1/5, batch 1/1"):
-        train_baseline("sgd_naive", ds, schedule, small_arch(), small_cfg())
+        train_baseline(ds, schedule, small_arch(), small_cfg())
 
 
 def test_sgd_naive_forgets_more_than_ours():
@@ -691,6 +682,5 @@ def test_sgd_naive_forgets_more_than_ours():
     schedule = split_protocol(ds, incremental_class_plan(4, 2, 1, 10), seed=0)
     cfg = small_cfg(epochs_per_task=8, learning_rate=0.1, per_class_quota=5)
     ours, _ = run_continual(ds, schedule, small_arch(input_dim=10), 4, cfg)
-    naive = train_baseline("sgd_naive", ds, schedule,
-                           small_arch(input_dim=10), cfg)
+    naive = train_baseline(ds, schedule, small_arch(input_dim=10), cfg)
     assert ours.rows[-1][0] > naive.rows[-1][0]
