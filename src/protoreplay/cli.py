@@ -16,6 +16,8 @@ Exit codes: 0 success, 1 assertion failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import json
 import os
 import sys
@@ -181,9 +183,25 @@ def _save_encoder(params, path):
     np.savez(path, **arrays)
 
 
+def _blas_threads():
+    """The thread count numpy's bundled OpenBLAS runs, or None where no
+    OpenBLAS library with a thread-count query is found beside numpy."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
 def _environment() -> dict:
     """What a run's bits depend on besides its config and seed: the numpy and
-    BLAS builds, the BLAS thread setting and the CPUs the process may use."""
+    BLAS builds, the BLAS thread setting and the thread count it gives, and
+    the CPUs the process may use."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
@@ -193,6 +211,7 @@ def _environment() -> dict:
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "blas_threads": _blas_threads(),
         "usable_cpus": ad.usable_cpus(),
     }
 
@@ -214,10 +233,19 @@ def cmd_run(args) -> int:
         raise UsageError(f"architecture {arch!r} does not fit the dataset's {image.shape} "
                          f"images: {exc}") from None
     check_schedule(dataset, schedule, tcfg)
+    made, path = [], os.path.abspath(args.out)     # the directories makedirs creates
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(args.out, exist_ok=True)
 
     start = time.time()
-    matrix, state = run_continual(dataset, schedule, layers, D, tcfg)
+    try:
+        matrix, state = run_continual(dataset, schedule, layers, D, tcfg)
+    except FloatingPointError:      # nothing is written to --out before this point
+        for path in made:           # innermost first
+            os.rmdir(path)
+        raise
     wall = time.time() - start
 
     matrix.to_csv(os.path.join(args.out, "accuracy.csv"))
@@ -461,7 +489,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, OSError, ValueError, KeyError) as exc:
+    except (UsageError, OSError, ValueError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

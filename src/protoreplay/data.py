@@ -36,6 +36,21 @@ class Image:
 
 
 @dataclass
+class Batch:
+    """Images as arrays: ``pixels`` (N, C, H, W) and ``labels`` (N,)."""
+    pixels: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @classmethod
+    def of(cls, images: List[Image]) -> "Batch":
+        return cls(np.stack([img.pixels for img in images]),
+                   np.array([img.label for img in images]))
+
+
+@dataclass
 class Dataset:
     train: List[Image]
     test: List[Image]
@@ -249,7 +264,30 @@ def task_train_images(base: Dataset, spec: TaskSpec) -> List[Image]:
     return out
 
 
-def task_test_images(base: Dataset, spec: TaskSpec) -> List[Image]:
+_PERM_BLOCK = 64     # test rows permuted together in task_test_images
+
+
+def task_test_images(base: Dataset, spec: TaskSpec) -> Batch:
+    """The task's test images as one batch, its classes' rows only. A
+    permuted task's rows pass ``_PERM_BLOCK`` at a time through one small
+    buffer, and the permutation writes them straight into the batch."""
     active = set(spec.class_ids)
-    return [_apply_perm(img, spec.permutation, spec.task_id)
-            for img in base.test if img.label in active]
+    rows = [img for img in base.test if img.label in active]
+    if not rows:
+        raise ValueError(f"task {spec.task_id}: classes {spec.class_ids} have no test images")
+    perm = spec.permutation
+    if perm is None:
+        return Batch.of(rows)
+    n, size, shape = len(rows), rows[0].pixels.size, rows[0].pixels.shape
+    if len(perm) != size or perm.min() < 0 or perm.max() >= size:
+        raise ValueError(f"task {spec.task_id}: the permutation does not index "
+                         f"the {size} pixels of a {shape} image")
+    pixels = np.empty((n, size))
+    block = np.empty((min(n, _PERM_BLOCK), size))
+    for lo in range(0, n, _PERM_BLOCK):
+        part = rows[lo:lo + _PERM_BLOCK]
+        src = np.stack([img.pixels.reshape(-1) for img in part], out=block[:len(part)])
+        # every index is in range, so "clip" changes nothing and, unlike
+        # "raise", writes into ``out`` without an intermediate buffer
+        np.take(src, perm, axis=1, out=pixels[lo:lo + len(part)], mode="clip")
+    return Batch(pixels.reshape((n,) + shape), np.array([img.label for img in rows]))

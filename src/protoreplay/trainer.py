@@ -21,7 +21,8 @@ from . import autodiff as ad
 from . import memory as mem
 from .analysis import AccuracyMatrix
 from .autodiff import Tensor
-from .data import Dataset, Image, ProtocolSchedule, task_test_images, task_train_images
+from .data import (Batch, Dataset, Image, ProtocolSchedule, task_test_images,
+                   task_train_images)
 from .encoder import (EncoderParams, baseline_head, encode_batch, forward, grow_head,
                       init_encoder)
 from .proto import (NoiseStream, SamplingConfig, VariationalPrototype, _centre,
@@ -322,8 +323,7 @@ def train_task(state: TrainingState, task_id: int, task_images: List[Image],
     return state
 
 
-def evaluate(state: TrainingState, test_images: List[Image],
-             cfg: TrainerConfig,
+def evaluate(state: TrainingState, test: Batch, cfg: TrainerConfig,
              prototype_scope: str = "latest") -> Tuple[float, Dict[int, float]]:
     """Deterministic nearest-prototype rule on mean vectors.
 
@@ -336,7 +336,8 @@ def evaluate(state: TrainingState, test_images: List[Image],
     weighting would systematically shrink distances for high-variance
     classes at test time. A tie between equal prototype means goes to the
     first candidate in scope order: the lowest class id under "latest", the
-    lowest (task, class) key under "history"."""
+    lowest (task, class) key under "history". ``test`` is one batch, as
+    ``task_test_images`` returns it."""
     if prototype_scope not in ("latest", "history"):
         raise ValueError(f"unknown prototype_scope {prototype_scope!r}")
     if prototype_scope == "latest":
@@ -346,11 +347,13 @@ def evaluate(state: TrainingState, test_images: List[Image],
         protos = [state.memory.prototype_history[key]
                   for key in sorted(state.memory.prototype_history)]
     classes = sorted({p.class_id for p in protos})
-    for img in test_images:
-        if img.label not in classes:
-            raise ValueError(f"test label {img.label} has no stored prototype")
+    if len(test) == 0:
+        raise ValueError("evaluate: the test batch holds no images")
+    unknown = test.labels[~np.isin(test.labels, classes)]
+    if unknown.size:
+        raise ValueError(f"test label {unknown[0]} has no stored prototype")
     with ad.no_grad():
-        mean, _ = _encode_images(state.encoder, test_images)
+        mean, _ = encode_batch(state.encoder, test.pixels)
     # Equal means share one column, the first candidate's: the GEMM in
     # _sq_distances can round two equal columns differently.
     first: Dict[bytes, VariationalPrototype] = {}
@@ -362,11 +365,11 @@ def evaluate(state: TrainingState, test_images: List[Image],
     _centre(qs, ps)
     d2 = _sq_distances(qs, ps, np.ones(ps.shape[1:]))[:, 0]         # (N, U)
     preds = np.array([p.class_id for p in columns])[d2.argmin(axis=1)]
-    truth = np.array([img.label for img in test_images])
+    truth = test.labels
     hit = preds == truth
     per_class = {c: np.count_nonzero(hit[truth == c]) / np.count_nonzero(truth == c)
                  for c in classes if np.any(truth == c)}
-    return np.count_nonzero(hit) / len(test_images), per_class
+    return np.count_nonzero(hit) / len(test), per_class
 
 
 def run_continual(dataset: Dataset, schedule: ProtocolSchedule,
@@ -398,13 +401,10 @@ def _softmax_ce_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     return ad.tmean(ad.sub(lse, true))
 
 
-def _baseline_eval(params: EncoderParams, test_images: List[Image]) -> float:
-    pixels = np.stack([img.pixels for img in test_images])
+def _baseline_eval(params: EncoderParams, test: Batch) -> float:
     with ad.no_grad():
-        logits = forward(params, Tensor(pixels)).data
-    preds = logits.argmax(axis=1)
-    labels = np.array([img.label for img in test_images])
-    return float((preds == labels).mean())
+        logits = forward(params, Tensor(test.pixels)).data
+    return float((logits.argmax(axis=1) == test.labels).mean())
 
 
 def train_baseline(dataset: Dataset, schedule: ProtocolSchedule, encoder_layers,
@@ -427,16 +427,15 @@ def train_baseline(dataset: Dataset, schedule: ProtocolSchedule, encoder_layers,
         if max(spec.class_ids) >= num_classes:
             num_classes = max(spec.class_ids) + 1
             params = grow_head(params, num_classes, seed=cfg.seed + spec.task_id)
-        images = task_train_images(dataset, spec)
-        pixels = np.stack([img.pixels for img in images])
-        labels = np.array([img.label for img in images])
+        train = Batch.of(task_train_images(dataset, spec))
         batch = cfg.batch_per_class * len(spec.class_ids)
-        starts = range(0, len(images), batch)
+        starts = range(0, len(train), batch)
         for epoch in range(cfg.epochs_per_task):
-            order = rng.permutation(len(images))
+            order = rng.permutation(len(train))
             for b, start in enumerate(starts):
                 rows = order[start:start + batch]
-                loss = _softmax_ce_logits(forward(params, Tensor(pixels[rows])), labels[rows])
+                loss = _softmax_ce_logits(forward(params, Tensor(train.pixels[rows])),
+                                          train.labels[rows])
                 if anchor is not None and l2_weight > 0:
                     penalty = None
                     for p, prev in zip(params.parameters(), anchor):

@@ -91,6 +91,42 @@ def test_shape_mismatch_diagnostic_names_shapes():
     assert "2, 3" in str(exc.value).replace("(", "").replace(")", "")
 
 
+class _CountedMatmul(np.ndarray):
+    """An array that counts the matmuls it enters, as operand or transpose."""
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedMatmul.calls += 1
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, _CountedMatmul) else x
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(plain, kwargs["out"]))
+        return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
+
+@pytest.mark.parametrize("tracked", ["b", "a", "both"])
+def test_matmul_backward_forms_only_the_gradients_its_operands_take(tracked):
+    # an untracked left operand (the pixels at an fc layer) costs one GEMM, not two
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=tracked in ("a", "both"))
+    b = Tensor(rng.normal(size=(3, 2)), requires_grad=tracked in ("b", "both"))
+    out = ad.matmul(a, b)
+    a.data, b.data = a.data.view(_CountedMatmul), b.data.view(_CountedMatmul)
+    _CountedMatmul.calls = 0
+    ad.tsum(out).backward()
+    assert _CountedMatmul.calls == (2 if tracked == "both" else 1)
+    g = np.ones((4, 2))
+    if a.requires_grad:
+        assert np.array_equal(a.grad, g @ b.data.view(np.ndarray).T)
+    else:
+        assert a.grad is None
+    if b.requires_grad:
+        assert np.array_equal(b.grad, a.data.view(np.ndarray).T @ g)
+    else:
+        assert b.grad is None
+
+
 def test_gradcheck_sum_is_exact():
     # power-of-two point and step keep the central difference exact in
     # binary floating point, so the all-ones gradient matches to 1e-12

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +140,7 @@ def test_run_manifest_records_environment(tmp_path, capsys, monkeypatch):
     assert env["one"]["openblas_num_threads"] == "1"
     for e in env.values():
         assert set(e) == {"numpy", "blas", "blas_version", "openblas_num_threads",
-                          "usable_cpus"}
+                          "blas_threads", "usable_cpus"}
         assert e["numpy"] == np.__version__
         assert isinstance(e["usable_cpus"], int) and e["usable_cpus"] >= 1
 
@@ -236,6 +239,39 @@ def test_idx_subset_that_drops_test_classes_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "no images of classes [2] within the first 3" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_manifest_blas_threads_is_the_count_openblas_runs():
+    # OPENBLAS_NUM_THREADS is read when numpy loads, so a fresh process
+    # shows it; null only where no OpenBLAS probe is found beside numpy
+    code = "from protoreplay.cli import _environment; print(_environment()['blas_threads'])"
+    src = str(Path(ad.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.strip()
+    assert out in ("1", "None")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_a_non_finite_loss_exits_two_naming_the_step(tmp_path, capsys, existing):
+    # separation 1e308 overflows the first step's distances; --out, and any
+    # parent of it, goes again only if this run made it
+    cfg = json.loads(run_config(tmp_path).read_text())
+    cfg["dataset"]["separation"] = 1e308
+    out = tmp_path / "runs" / "o"
+    if existing:
+        out.mkdir(parents=True)
+    with np.errstate(all="ignore"):
+        code = main(["run", "--config", str(run_config(tmp_path, **cfg)), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: non-finite loss nan at task 1, epoch 1/3, batch 1/2"]
+    assert "Traceback" not in err
+    assert out.exists() == existing and out.parent.exists() == existing
+    if existing:
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("overrides, key", [

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from protoreplay.data import (Dataset, FormatError, Image,
+from protoreplay.data import (Batch, Dataset, FormatError, Image, _apply_perm,
                               incremental_class_plan, load_idx,
                               permuted_protocol, split_protocol,
                               synthetic_blobs, task_test_images,
@@ -187,15 +187,78 @@ def test_permuted_protocol_on_multichannel_images():
     ds = Dataset(train, test, 2)
     spec = permuted_protocol(ds, 2, seed=4).tasks[1]
     assert spec.permutation.size == 48
-    pairs = list(zip(task_train_images(ds, spec), train))
-    pairs += list(zip(task_test_images(ds, spec), test))
+    pairs = [(img.pixels, base) for img, base in zip(task_train_images(ds, spec), train)]
+    pairs += list(zip(task_test_images(ds, spec).pixels, test))
     assert len(pairs) == len(train) + len(test)
     for got, base in pairs:
-        assert got.pixels.shape == (3, 4, 4)
-        assert np.array_equal(np.sort(got.pixels, axis=None),
+        assert got.shape == (3, 4, 4)
+        assert np.array_equal(np.sort(got, axis=None),
                               np.sort(base.pixels, axis=None))
-        assert np.array_equal(got.pixels.reshape(-1),
+        assert np.array_equal(got.reshape(-1),
                               base.pixels.reshape(-1)[spec.permutation])
+
+
+def _multichannel_dataset(num_classes=3, per_class=5, seed=5):
+    rng = np.random.default_rng(seed)
+    images = [Image(rng.standard_normal((3, 4, 4)), c, index=i)
+              for i in range(per_class) for c in range(num_classes)]
+    return Dataset(images, images, num_classes)
+
+
+@pytest.mark.parametrize("which", ["identity", "permuted", "class-subset"])
+def test_task_test_images_equals_the_stacked_per_image_permutation(which):
+    # the batch is bit for bit what stacking each test image's _apply_perm gives,
+    # and holds only the spec's classes, in test-split order
+    ds = _multichannel_dataset(per_class=70)      # more rows than one permutation block
+    if which == "class-subset":
+        spec = split_protocol(ds, [([0], None), ([2, 1], None)], seed=0).tasks[1]
+    else:
+        spec = permuted_protocol(ds, 2, seed=4).tasks[which == "permuted"]
+    batch = task_test_images(ds, spec)
+    expected = [_apply_perm(img, spec.permutation, spec.task_id)
+                for img in ds.test if img.label in spec.class_ids]
+    assert isinstance(batch, Batch) and len(batch) == len(expected)
+    assert batch.pixels.dtype == np.float64 and batch.pixels.shape == (len(expected), 3, 4, 4)
+    assert batch.pixels.tobytes() == np.stack([img.pixels for img in expected]).tobytes()
+    assert batch.labels.tolist() == [img.label for img in expected]
+
+
+def test_task_test_images_constructs_no_image(monkeypatch):
+    ds = _multichannel_dataset()
+    made = []
+    init = Image.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Image, "__init__", counting_init)
+    for spec in permuted_protocol(ds, 2, seed=4).tasks:
+        task_test_images(ds, spec)
+    assert made == []
+
+
+def test_task_test_images_rejects_a_task_without_test_images():
+    ds = _multichannel_dataset()
+    ds = Dataset(ds.train, [img for img in ds.test if img.label != 2], 3)
+    spec = split_protocol(ds, [([0, 1], None), ([2], None)], seed=0).tasks[1]
+    with pytest.raises(ValueError, match=r"task 2: classes \[2\] have no test images"):
+        task_test_images(ds, spec)
+
+
+def test_task_test_images_rejects_a_permutation_out_of_range():
+    ds = _multichannel_dataset()
+    spec = permuted_protocol(ds, 2, seed=4).tasks[1]
+    spec.permutation[0] = 48
+    with pytest.raises(ValueError, match="task 2: the permutation does not index the 48"):
+        task_test_images(ds, spec)
+
+
+def test_batch_of_stacks_pixels_and_labels():
+    images = _multichannel_dataset(per_class=1).test
+    batch = Batch.of(images)
+    assert len(batch) == 3 and batch.labels.tolist() == [0, 1, 2]
+    assert np.array_equal(batch.pixels, np.stack([img.pixels for img in images]))
 
 
 def test_permuted_protocol_rejects_zero_tasks():
@@ -249,7 +312,7 @@ def test_split_custom_plan_and_test_images():
     schedule = split_protocol(ds, incremental_class_plan(5, 2, 1, 10), seed=0)
     assert [s.class_ids for s in schedule.tasks] == [[0, 1], [2], [3], [4]]
     t2 = task_test_images(ds, schedule.tasks[1])
-    assert len(t2) == 4 and all(img.label == 2 for img in t2)
+    assert len(t2) == 4 and all(label == 2 for label in t2.labels)
 
 
 def test_split_subsampling_deterministic_under_seed():

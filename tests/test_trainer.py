@@ -9,7 +9,7 @@ import pytest
 import protoreplay.autodiff as ad
 from protoreplay import trainer
 from protoreplay.autodiff import Tensor
-from protoreplay.data import (Image, incremental_class_plan, permuted_protocol,
+from protoreplay.data import (Batch, Image, incremental_class_plan, permuted_protocol,
                               split_protocol, synthetic_blobs,
                               task_test_images, task_train_images)
 from protoreplay.encoder import encode_batch, init_encoder, reference_architecture
@@ -118,7 +118,7 @@ def test_evaluate_tie_breaks_to_lowest_class_id():
         state.memory.prototype_history[(1, c)] = VariationalPrototype(
             1, c, Tensor(np.zeros(4)), Tensor(np.zeros(4)))
     tests = [Image(np.ones((1, 1, 8)), 0), Image(np.ones((1, 1, 8)), 1)]
-    acc, per_class = evaluate(state, tests, cfg)
+    acc, per_class = evaluate(state, Batch.of(tests), cfg)
     assert per_class == {0: 1.0, 1: 0.0}   # both predicted as class 0
     assert acc == 0.5
 
@@ -131,9 +131,37 @@ def test_evaluate_rejects_unknown_scope_and_missing_class():
         1, 0, Tensor(np.zeros(4)), Tensor(np.zeros(4)))
     img = Image(np.ones((1, 1, 8)), 0)
     with pytest.raises(ValueError):
-        evaluate(state, [img], cfg, prototype_scope="newest")
+        evaluate(state, Batch.of([img]), cfg, prototype_scope="newest")
     with pytest.raises(ValueError):
-        evaluate(state, [Image(np.ones((1, 1, 8)), 5)], cfg)
+        evaluate(state, Batch.of([Image(np.ones((1, 1, 8)), 5)]), cfg)
+
+
+def test_evaluate_on_task_test_images_constructs_no_image(monkeypatch):
+    ds = synthetic_blobs(3, 8, 8, 6, separation=3.0, seed=1)
+    schedule = permuted_protocol(ds, 2, seed=0)
+    cfg = small_cfg(epochs_per_task=1)
+    _, state = run_continual(ds, schedule, small_arch(), 4, cfg)
+    made = []
+    init = Image.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Image, "__init__", counting_init)
+    for spec in schedule.tasks:
+        acc, _ = evaluate(state, task_test_images(ds, spec), cfg, prototype_scope="history")
+        assert 0.0 <= acc <= 1.0
+    assert made == []
+
+
+def test_evaluate_rejects_an_empty_batch():
+    cfg = small_cfg()
+    state = make_state(init_encoder(small_arch(), latent_dim=4, seed=0, zero=True), cfg)
+    state.memory.prototype_history[(1, 0)] = VariationalPrototype(
+        1, 0, Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+    with pytest.raises(ValueError, match="holds no images"):
+        evaluate(state, Batch(np.zeros((0, 1, 1, 8)), np.zeros(0, dtype=int)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +491,7 @@ def test_evaluate_matches_per_image_loop():
         preds = [protos[int(np.argmin(np.linalg.norm(e[None, :] - means, axis=1)))].class_id
                  for e in emb]
         hits = [p == img.label for p, img in zip(preds, tests)]
-        acc, per_class = evaluate(state, tests, cfg, prototype_scope=scope)
+        acc, per_class = evaluate(state, Batch.of(tests), cfg, prototype_scope=scope)
         assert 0.0 < acc < 1.0
         assert acc == sum(hits) / len(tests)
         assert per_class == {c: sum(h for h, img in zip(hits, tests) if img.label == c)
@@ -528,7 +556,7 @@ def test_evaluate_ties_between_equal_means_match_per_image_loop(scope):
     rng = np.random.default_rng(11)
     for _ in range(60):
         state, tests, cfg = _tied_prototype_state(rng, scope)
-        assert evaluate(state, tests, cfg, prototype_scope=scope) == \
+        assert evaluate(state, Batch.of(tests), cfg, prototype_scope=scope) == \
             _per_image_loop(state, tests, scope)
 
 
@@ -537,7 +565,7 @@ def test_evaluate_far_from_the_origin_matches_per_image_loop(scope):
     # latents near 1e3 that differ by about 1e-6: the squared-distance
     # expansion is only exact enough on samples centred first
     state, tests, cfg = _tied_prototype_state(np.random.default_rng(5), scope, offset=1e3)
-    acc, per_class = evaluate(state, tests, cfg, prototype_scope=scope)
+    acc, per_class = evaluate(state, Batch.of(tests), cfg, prototype_scope=scope)
     assert 0.0 < acc < 1.0
     assert (acc, per_class) == _per_image_loop(state, tests, scope)
 
@@ -573,8 +601,8 @@ def test_evaluate_between_tasks_leaves_the_next_steps_gradients_unchanged(monkey
 
 def test_evaluate_keeps_no_graph_alive(monkeypatch):
     # Memory held right after evaluate's encode of 80 cifar_like_32 images:
-    # 2.6 MB graph-free (the stacked pixels and the (80, 500) means and
-    # log-variances), about 208 MB with the forward graph kept.
+    # 0.6 MB graph-free (the (80, 500) means and log-variances; the pixels
+    # arrive as one batch), about 208 MB with the forward graph kept.
     import tracemalloc
     cfg = TrainerConfig(SamplingConfig(Z=2, D=500))
     state = make_state(init_encoder(reference_architecture("cifar_like_32"), 500, seed=0), cfg)
@@ -582,7 +610,7 @@ def test_evaluate_keeps_no_graph_alive(monkeypatch):
     for c in (0, 1):
         state.memory.prototype_history[(1, c)] = VariationalPrototype(
             1, c, Tensor(rng.normal(size=500)), Tensor(np.zeros(500)))
-    tests = [Image(rng.uniform(0, 1, (3, 32, 32)), i % 2) for i in range(80)]
+    tests = Batch.of([Image(rng.uniform(0, 1, (3, 32, 32)), i % 2) for i in range(80)])
     held = []
     encode = trainer.encode_batch
 
@@ -602,9 +630,9 @@ def test_evaluate_keeps_no_graph_alive(monkeypatch):
 
 
 def test_evaluate_peak_memory_on_cifar_like_32():
-    # Traced peak of evaluate on 80 cifar_like_32 images: 28.3 MB, mostly the
-    # first conv layer's (80, 20, 32, 32) activations, against 100.5 MB when
-    # conv2d built its whole-batch im2col block.
+    # Traced peak of evaluate on 80 cifar_like_32 images: 13.7 MB (15.7 MB
+    # when evaluate stacked the pixels itself), against 100.5 MB when conv2d
+    # built its whole-batch im2col block.
     import tracemalloc
     cfg = TrainerConfig(SamplingConfig(Z=2, D=500))
     state = make_state(init_encoder(reference_architecture("cifar_like_32"), 500, seed=0), cfg)
@@ -612,7 +640,7 @@ def test_evaluate_peak_memory_on_cifar_like_32():
     for c in (0, 1):
         state.memory.prototype_history[(1, c)] = VariationalPrototype(
             1, c, Tensor(rng.normal(size=500)), Tensor(np.zeros(500)))
-    tests = [Image(rng.uniform(0, 1, (3, 32, 32)), i % 2) for i in range(80)]
+    tests = Batch.of([Image(rng.uniform(0, 1, (3, 32, 32)), i % 2) for i in range(80)])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
