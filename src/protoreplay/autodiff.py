@@ -10,15 +10,19 @@ never runs. The grad-enabled flag is per thread: ``no_grad()`` in one thread
 leaves tracking in every other thread as it was, and a new thread starts
 with tracking on. ``usable_cpus()`` and ``beside()`` are the package's one
 CPU probe and one helper-thread primitive; the noise producer and the
-convolutions' image loops run on them. ``conv_block`` fuses a convolution
-with its bias, ReLU and 2x2 max pool, a few images at a time. The op set is
-intentionally small: just enough for a convolutional / fully-connected
-encoder and the distance-softmax losses built on top of it.
+convolutions' image loops run on them. A woken thread tends to run on the
+CPU of the thread that woke it, so ``beside`` keeps its worker off the
+caller's CPU where the platform says which CPU that is. ``conv_block``
+fuses a convolution with its bias, ReLU and 2x2 max pool, a few images at a
+time. The op set is intentionally small: just enough for a convolutional /
+fully-connected encoder and the distance-softmax losses built on top of it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import os
 import threading
 
@@ -143,14 +147,45 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
+def _sched_getcpu():
+    """glibc's ``sched_getcpu``, or None where the C library has none."""
+    try:
+        fn = ctypes.CDLL(None).sched_getcpu
+    except (OSError, AttributeError, TypeError):
+        return None
+    fn.argtypes, fn.restype = [], ctypes.c_int
+    return fn
+
+
+def _this_cpu():
+    """The CPU the calling thread runs on, or None where that is not known."""
+    fn = _sched_getcpu()
+    cpu = fn() if fn is not None else -1
+    return cpu if cpu >= 0 else None
+
+
 @contextlib.contextmanager
 def beside(work, name: str):
     """Run ``work()`` on one daemon thread named ``name`` while the block
     runs. The thread is joined on exit, also on an exception; an exception
-    raised in it is then raised here, unless the block raised its own."""
-    failed = []
+    raised in it is then raised here, unless the block raised its own.
+
+    The worker first keeps itself off the CPU the caller is on. A thread the
+    caller wakes otherwise tends to be run on the caller's own CPU, so the
+    two would take turns instead of running side by side. Where the CPU or
+    the affinity set cannot be read, or the kernel rejects the set, the
+    worker runs where the scheduler puts it; placement changes no value."""
+    failed, cpu, others = [], _this_cpu(), None
+    if cpu is not None and hasattr(os, "sched_getaffinity"):
+        others = os.sched_getaffinity(0) - {cpu}
 
     def run():
+        if others:
+            try:
+                os.sched_setaffinity(0, others)     # 0: this thread only
+            except OSError:
+                pass
         try:
             work()
         except BaseException as exc:        # raised again in the calling thread

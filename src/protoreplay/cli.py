@@ -241,7 +241,10 @@ def cmd_run(args) -> int:
 
     start = time.time()
     try:
-        matrix, state = run_continual(dataset, schedule, layers, D, tcfg)
+        # a diverging run's distances overflow before the finite-loss check
+        # stops it; that check reports the fault, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix, state = run_continual(dataset, schedule, layers, D, tcfg)
     except FloatingPointError:      # nothing is written to --out before this point
         for path in made:           # innermost first
             os.rmdir(path)

@@ -15,8 +15,11 @@ row per online prototype tensor), not its samples, until ``backward()``.
 Noise-draw order is part of the contract so results are reproducible from a
 seeded generator: each loss first draws prototype noise of shape (Z, C, D)
 with classes in ascending class_id order, then query noise of shape (Q, Z, D)
-with queries in the order given. ``NoiseStream`` may draw ahead on a second
-thread without changing which values each request gets.
+with queries in the order given. It asks for both in one request of
+Z*C*D + Q*Z*D normals and reads the two as views of it; draws concatenate,
+so every value is the one the two requests would give. ``NoiseStream`` may
+draw ahead on a second thread, a whole loss request ahead, without changing
+which values each request gets.
 """
 
 from __future__ import annotations
@@ -61,7 +64,10 @@ class NoiseStream:
     (``autodiff.beside``) fills a ring of ``BLOCK``-normal blocks while the
     caller computes. The ring is two queues: blank blocks, and filled
     ``(generator state before, block)`` pairs in draw order, which requests
-    copy from. It grows to the largest single request seen. On exit the
+    copy from. It grows to the blocks of the largest request seen plus one,
+    so that a request starting inside a block can still be drawn whole
+    before it is made; a loss makes one request (see the module docstring),
+    so the producer can be a whole loss call ahead. On exit the
     draws not yet read are given back, by resetting the generator to the
     first of them, and the ring is freed, so outside ``ahead()`` the stream
     is the plain Generator. With fewer than two usable CPUs ``ahead()``
@@ -74,7 +80,7 @@ class NoiseStream:
         self._gen = gen
         self._blank = None              # queue of blank blocks, inside ahead()
         self._filled = None             # queue of (state, block), inside ahead()
-        self._largest = 0               # blocks in the largest request so far
+        self._ring = 0                  # blocks in the ring: the largest request's plus one
         self._head = None               # the (state, block) being read
         self._pos = 0                   # normals read from it
         self._stop = False              # set on exit: the producer takes no new block
@@ -84,9 +90,9 @@ class NoiseStream:
             return self._gen.standard_normal(size)
         out = np.empty(size)
         flat = out.reshape(-1)
-        blocks = -(-flat.size // self.BLOCK)
-        self._add_blank(blocks - self._largest)         # the ring grows to the largest request
-        self._largest = max(self._largest, blocks)
+        ring = -(-flat.size // self.BLOCK) + 1
+        self._add_blank(ring - self._ring)
+        self._ring = max(self._ring, ring)
         done = 0
         while done < flat.size:
             if self._head is None:
@@ -119,7 +125,7 @@ class NoiseStream:
             yield
             return
         self._blank, self._filled, self._stop = queue.Queue(), queue.Queue(), False
-        self._add_blank(self._largest)
+        self._add_blank(self._ring)
         try:
             with ad.beside(self._produce, "noise-ahead"):
                 try:
@@ -270,8 +276,9 @@ def mixed_classification_loss(mean: Tensor, logvar: Tensor, labels: Sequence[int
         pm[i], plv[i] = p.mean.data, p.logvar.data
         if fixed and cfg.weighted:
             w[i] = np.exp(-p.logvar.data)
-    pn = noise_stream.standard_normal((Z, C, D))
-    qn = noise_stream.standard_normal((Q, Z, D))
+    noise = noise_stream.standard_normal(Z * C * D + Q * Z * D)
+    pn = noise[:Z * C * D].reshape(Z, C, D)
+    qn = noise[Z * C * D:].reshape(Q, Z, D)
 
     psd = np.exp(0.5 * plv)                                                # (C, D)
     qsd = np.exp(0.5 * logvar.data)[:, None, :]                            # (Q, 1, D)

@@ -1,5 +1,6 @@
 """Tensor autodiff: forward examples, backward rules, finite differences."""
 
+import os
 import threading
 import tracemalloc
 from pathlib import Path
@@ -635,6 +636,43 @@ def test_beside_raises_the_blocks_own_exception_over_the_workers():
             worker_raising.wait(10)
             raise KeyError("raised in the block")
     assert not [t for t in threading.enumerate() if t.name == "beside-test"]
+
+
+def test_a_beside_worker_runs_off_its_callers_cpu(monkeypatch):
+    if not hasattr(os, "sched_getaffinity") or ad.usable_cpus() < 2 or ad._this_cpu() is None:
+        pytest.skip("needs an affinity set of two CPUs or more and glibc's sched_getcpu")
+    read, this_cpu = [], ad._this_cpu       # the caller's CPU, as beside read it
+
+    def spy():
+        read.append(this_cpu())
+        return read[-1]
+    monkeypatch.setattr(ad, "_this_cpu", spy)
+    usable, placed = os.sched_getaffinity(0), []
+    with ad.beside(lambda: placed.append(os.sched_getaffinity(0)), "beside-test"):
+        pass
+    assert len(read) == 1 and read[0] in usable
+    assert placed == [usable - {read[0]}]
+    assert os.sched_getaffinity(0) == usable      # the caller is not moved
+
+
+def test_a_worker_the_kernel_will_not_place_still_runs(monkeypatch):
+    # no CPU in this set is on the machine, so the kernel rejects it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4096, 4097})
+    refused, setaffinity = [], getattr(os, "sched_setaffinity", None)
+
+    def spy(pid, cpus):
+        try:
+            setaffinity(pid, cpus)
+        except OSError as exc:
+            refused.append(exc)
+            raise
+    if setaffinity is not None:
+        monkeypatch.setattr(os, "sched_setaffinity", spy)
+    ran = []
+    with ad.beside(lambda: ran.append(threading.current_thread().name), "beside-test"):
+        pass
+    assert ran == ["beside-test"]
+    assert len(refused) == (setaffinity is not None and ad._this_cpu() is not None)
 
 
 def test_autodiff_holds_the_only_cpu_probe_and_helper_thread():

@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -808,3 +809,55 @@ def test_noise_stream_nested_ahead_adds_no_thread(monkeypatch):
     assert not _producers()
     assert first.tobytes() == plain.standard_normal(100000).tobytes()
     assert second.tobytes() == plain.standard_normal(10).tobytes()
+
+
+class _RecordingStream:
+    """A plain Generator's normals, recording the size of every request."""
+
+    def __init__(self, seed):
+        self.gen, self.sizes = np.random.default_rng(seed), []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self.gen.standard_normal(size)
+
+
+@pytest.mark.parametrize("online, frozen", [(2, 0), (0, 3), (2, 1)])
+def test_a_loss_call_makes_one_noise_request(online, frozen):
+    Q, Z, D = 4, 3, 5
+    C = online + frozen
+    rng = np.random.default_rng(C)
+    protos = [proto(c, rng.normal(size=D), rng.normal(size=D)) for c in range(C)]
+    stream = _RecordingStream(6)
+    mixed_classification_loss(Tensor(rng.normal(size=(Q, D))), Tensor(rng.normal(size=(Q, D))),
+                              [c % C for c in range(Q)], protos[:online], protos[online:],
+                              SamplingConfig(Z=Z, D=D), stream)
+    assert stream.sizes == [Z * C * D + Q * Z * D]
+
+
+def _wait_for_blocks(stream, count):
+    """Wait until the producer has filled ``count`` blocks ahead of the
+    reader (the block being read counts as one)."""
+    deadline = time.monotonic() + 10
+    while stream._filled.qsize() + (stream._head is not None) < count:
+        assert time.monotonic() < deadline, "the producer did not fill its ring"
+        time.sleep(0.001)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_the_ring_holds_the_largest_request_plus_one_block(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    stream, plain = NoiseStream(np.random.default_rng(n)), np.random.default_rng(n)
+    stream.BLOCK = 64
+    ring = -(-n // 64) + 1
+    with stream.ahead():
+        got = [stream.standard_normal(n)]
+        _wait_for_blocks(stream, ring)
+        assert stream._ring == ring and stream._blank.empty()
+        # the next request of n starts inside a block, or on a new one, and
+        # is drawn whole before it is made
+        ahead = stream._filled.qsize() * 64 + (64 - stream._pos if stream._head else 0)
+        assert ahead >= n
+        got += [stream.standard_normal(n), stream.standard_normal(1)]
+        assert stream._ring == ring                 # a smaller request adds no block
+    assert [g.tobytes() for g in got] == [plain.standard_normal(k).tobytes() for k in (n, n, 1)]

@@ -238,6 +238,25 @@ def test_run_continual_same_with_noise_drawn_ahead_or_inline(monkeypatch):
     assert run(cpus=2) == run(cpus=1)
 
 
+def test_run_continual_same_with_helper_threads_placed_or_not(monkeypatch):
+    ds = synthetic_blobs(4, 8, 8, 6, separation=3.0, seed=1)
+    schedule = split_protocol(ds, incremental_class_plan(4, 2, 1, 8), seed=0)
+    cfg = small_cfg(epochs_per_task=3, sampling=SamplingConfig(Z=50, tau=1.0, D=200))
+    monkeypatch.setattr(NoiseStream, "BLOCK", 1000)   # requests span several blocks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    this_cpu = ad._this_cpu
+
+    def run(placed):
+        # an unknown caller CPU leaves the producer where the scheduler puts it
+        monkeypatch.setattr(ad, "_this_cpu", this_cpu if placed else lambda: None)
+        matrix, state = run_continual(ds, schedule, small_arch(latent_dim=200), 200, cfg)
+        history = state.memory.prototype_history
+        return matrix.rows, [(k, history[k].mean.data.tobytes(),
+                              history[k].logvar.data.tobytes()) for k in sorted(history)]
+
+    assert run(placed=True) == run(placed=False)
+
+
 def test_run_continual_without_sched_getaffinity_matches_one_cpu(monkeypatch):
     # macOS and Windows have no os.sched_getaffinity; os.cpu_count() gates
     # the noise producer there
